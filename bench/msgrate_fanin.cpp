@@ -1,12 +1,9 @@
 // Message-rate fan-in bench: N senders -> 1 receiver, OSU osu_mbw_mr
 // style, at small payloads where per-message protocol cost dominates.
 //
-// This is the before/after artifact for the doorbell-aggregated progress
-// engine (p2p::Endpoint): "legacy scan" runs the pre-doorbell linear
-// per-peer ring scan with per-cell publication
-// (ProgressEngine::kLegacyScan), "doorbell" runs the aggregated-doorbell
-// engine with batched reaping and batched publication. Both rows come
-// from one binary so the JSON artifact carries its own ablation.
+// Measures the doorbell-aggregated progress engine (p2p::Endpoint) with
+// batched reaping and batched publication. The pre-doorbell linear-scan
+// engine it replaced is gone; its numbers stay in EXPERIMENTS.md.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -18,28 +15,13 @@
 
 using namespace cmpi;
 
-namespace {
-
-osu::MsgRateParams params_for(int senders, std::size_t size, int window,
-                              int iters, int warmup, bool legacy) {
-  osu::MsgRateParams params;
-  params.size = size;
-  params.senders = senders;
-  params.window = window;
-  params.iters = iters;
-  params.warmup = warmup;
-  params.legacy_scan = legacy;
-  return params;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto args = check_ok(CliArgs::parse(argc, argv));
-  const std::size_t size = args.get_size("size", 8);
-  const int window = static_cast<int>(args.get_int("window", 64));
-  const int iters = static_cast<int>(args.get_int("iters", 10));
-  const int warmup = static_cast<int>(args.get_int("warmup", 2));
+  osu::MsgRateParams params;
+  params.size = args.get_size("size", 8);
+  params.window = static_cast<int>(args.get_int("window", 64));
+  params.iters = static_cast<int>(args.get_int("iters", 10));
+  params.warmup = static_cast<int>(args.get_int("warmup", 2));
   const bool csv = args.get_bool("csv");
   const std::string json_path = args.get_string("json", "BENCH_msgrate.json");
   for (const auto& flag : args.unused_flags()) {
@@ -48,23 +30,17 @@ int main(int argc, char** argv) {
   }
 
   osu::FigureTable table("Message rate: N-sender fan-in, " +
-                             std::to_string(size) + " B payloads",
+                             std::to_string(params.size) + " B payloads",
                          "Senders", "msg/s");
   for (const int senders : {2, 8, 16}) {
+    params.senders = senders;
     table.set("doorbell", static_cast<std::size_t>(senders),
-              osu::cxl_msgrate_fanin(
-                  params_for(senders, size, window, iters, warmup, false)));
-    table.set("legacy scan", static_cast<std::size_t>(senders),
-              osu::cxl_msgrate_fanin(
-                  params_for(senders, size, window, iters, warmup, true)));
+              osu::cxl_msgrate_fanin(params));
   }
   table.print(std::cout);
   if (csv) {
     table.print_csv(std::cout);
   }
-  const double speedup = osu::max_ratio(table, "doorbell", "legacy scan");
-  std::printf("\n  doorbell-aggregated progress: up to %.1fx the legacy"
-              " scan's message rate\n", speedup);
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
@@ -72,10 +48,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     table.print_json(out, {
-        {"size", std::to_string(size)},
-        {"window", std::to_string(window)},
-        {"iters", std::to_string(iters)},
-        {"warmup", std::to_string(warmup)},
+        {"size", std::to_string(params.size)},
+        {"window", std::to_string(params.window)},
+        {"iters", std::to_string(params.iters)},
+        {"warmup", std::to_string(params.warmup)},
     });
     std::printf("  wrote %s\n", json_path.c_str());
   }

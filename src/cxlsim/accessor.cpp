@@ -331,4 +331,13 @@ Status Accessor::take_poison_status(std::string_view context) {
       std::to_string(poison_offset_));
 }
 
+std::optional<std::uint64_t> Accessor::exchange_poison(
+    std::optional<std::uint64_t> next) noexcept {
+  const std::optional<std::uint64_t> prev =
+      poison_seen_ ? std::optional(poison_offset_) : std::nullopt;
+  poison_seen_ = next.has_value();
+  poison_offset_ = next.value_or(0);
+  return prev;
+}
+
 }  // namespace cmpi::cxlsim

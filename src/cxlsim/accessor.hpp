@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -158,6 +159,13 @@ class Accessor {
   /// The §3.5 discipline for media errors: check after reading a range
   /// whose integrity the caller must vouch for.
   Status take_poison_status(std::string_view context);
+  /// Replace the sticky poison flag (its first poisoned offset; nullopt
+  /// when clear) with `next` and return the old one. Lets a reader that
+  /// reads ahead of the data it consumes (SpscRing::peek) park poison
+  /// with the data it belongs to. Host-side only: no pool access, no
+  /// virtual time.
+  std::optional<std::uint64_t> exchange_poison(
+      std::optional<std::uint64_t> next) noexcept;
 
   // --- Multi-tenant pool service hooks (see runtime/pool_service.hpp) ---
   /// Attribute this accessor's device bandwidth to a WFQ class (tenant).

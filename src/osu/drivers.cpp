@@ -275,9 +275,6 @@ double cxl_msgrate_fanin(const MsgRateParams& params) {
   // benchmark; a 64 KiB cell would only waste pool space.
   cfg.cell_payload = 4 * 1024;
   cfg.ring_cells = params.ring_cells;
-  cfg.progress_engine = params.legacy_scan
-                            ? runtime::ProgressEngine::kLegacyScan
-                            : runtime::ProgressEngine::kDoorbell;
   const std::size_t matrix = queue::QueueMatrix::footprint(
       params.senders + 1, cfg.ring_cells, cfg.cell_payload);
   cfg.pool_size = std::max<std::size_t>(64_MiB, 2 * matrix + 32_MiB);

@@ -92,9 +92,6 @@ struct MsgRateParams {
   int iters = 10;         ///< timed iterations
   int warmup = 2;         ///< untimed iterations
   std::size_t ring_cells = 64;
-  /// Run the pre-doorbell linear-scan progress engine instead
-  /// (ProgressEngine::kLegacyScan) — the before/after ablation knob.
-  bool legacy_scan = false;
 };
 
 /// Aggregate messages/second observed by the receiver (virtual time).

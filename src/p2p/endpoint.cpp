@@ -71,8 +71,6 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
   defaults.inflight_depth = ctx.config().rendezvous_inflight == 0
                                 ? kMaxRendezvousInflight
                                 : ctx.config().rendezvous_inflight;
-  defaults.publish_batch_cells = kPublishBatchCells;
-  defaults.publish_batch_bytes = kPublishBatchBytes;
   if (tune::tuning_enabled(ctx.config().tune)) {
     policy_ = tune::Policy::make_adaptive(ctx.nranks(), defaults);
     table_ = tune::shared_table(ctx.config().tune);
@@ -91,27 +89,18 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
   } else {
     policy_ = tune::Policy::make_static(ctx.nranks(), defaults);
   }
-  legacy_ =
-      ctx.config().progress_engine == runtime::ProgressEngine::kLegacyScan;
-  // Batched cell publication coarsens which cells are visible at a
-  // scripted kill point; the fault/recovery tests assert exact per-sync-
-  // point published-cell counts, so any configured injector keeps the
-  // per-cell publish discipline (perf runs carry no injector).
-  publish_per_cell_ = legacy_ || ctx.device().fault_injector() != nullptr;
-  if (!legacy_) {
-    for (int r = 0; r < ctx.nranks(); ++r) {
-      if (r == ctx.rank()) {
-        continue;
-      }
-      const auto s = static_cast<std::size_t>(r);
-      // Sender side: the pool word survives respawns; continuing past it
-      // keeps the slot monotonic whether or not scavenge cleared it.
-      dbell_next_[s] = dbell_.peek(ctx.acc(), r, ctx.rank()) + 1;
-      // Receiver side: start one behind so the first progress() visits
-      // every peer once (cells published before we attached have no edge
-      // ring coming).
-      dbell_seen_[s] = dbell_.peek(ctx.acc(), ctx.rank(), r) - 1;
+  for (int r = 0; r < ctx.nranks(); ++r) {
+    if (r == ctx.rank()) {
+      continue;
     }
+    const auto s = static_cast<std::size_t>(r);
+    // Sender side: the pool word survives respawns; continuing past it
+    // keeps the slot monotonic whether or not scavenge cleared it.
+    dbell_next_[s] = dbell_.peek(ctx.acc(), r, ctx.rank()) + 1;
+    // Receiver side: start one behind so the first progress() visits
+    // every peer once (cells published before we attached have no edge
+    // ring coming).
+    dbell_seen_[s] = dbell_.peek(ctx.acc(), ctx.rank(), r) - 1;
   }
   obs_registration_ = obs::ProviderRegistration([stats = stats_.get()] {
     return std::vector<obs::Sample>{
@@ -364,7 +353,6 @@ void Endpoint::push_sends(int dst) {
   auto& pending = send_queues_[static_cast<std::size_t>(dst)];
   queue::SpscRing& ring = matrix_.ring(ctx_->acc(), dst, rank());
   const std::size_t cell = matrix_.cell_payload();
-  const tune::KnobSettings& knobs = policy_.settings(dst);
   tune::DestSignals& signals = policy_.signals(dst);
   // Bytes staged-but-unpublished by THIS call (the cell-count threshold
   // reads ring.staged_pending() directly).
@@ -408,24 +396,9 @@ void Endpoint::push_sends(int dst) {
           // hand the CRC in so the ring skips its own pass.
           header.payload_crc = req.chunk_crcs[req.bytes_pushed / cell];
         }
-        const bool prehashed = !req.chunk_crcs.empty();
-        bool enqueued;
-        if (publish_per_cell_) {
-          enqueued = prehashed
-                         ? ring.try_enqueue_prehashed(ctx_->acc(), header,
-                                                      payload)
-                         : ring.try_enqueue(ctx_->acc(), header, payload);
-          if (enqueued) {
-            ++stats_->publish_batches;  // a batch of one, for the ablation
-            ++stats_->cells_published;
-            note_publish(dst, ring.last_publish_edge());
-          }
-        } else {
-          enqueued = prehashed
-                         ? ring.try_stage_prehashed(ctx_->acc(), header,
-                                                    payload)
-                         : ring.try_stage(ctx_->acc(), header, payload);
-        }
+        const bool enqueued =
+            ring.try_stage(ctx_->acc(), header, payload,
+                           /*prehashed=*/!req.chunk_crcs.empty());
         if (!enqueued) {
           ++signals.ring_full;
           break;
@@ -433,17 +406,15 @@ void Endpoint::push_sends(int dst) {
         made_progress = true;
         req.bytes_pushed += chunk;
         batch_bytes += chunk;
-        if (!publish_per_cell_ &&
-            (ring.staged_pending() >= knobs.publish_batch_cells ||
-             batch_bytes >= knobs.publish_batch_bytes)) {
+        if (ring.staged_pending() >= kPublishBatchCells ||
+            batch_bytes >= kPublishBatchBytes) {
           publish_now(dst, ring);
           batch_bytes = 0;
         }
-        // Scripted kill location for the recovery tests: the chunk is
-        // durably in the ring but the message may be incomplete — exactly
-        // the partial state a host dying mid-send leaves behind. Any run
-        // with a fault injector takes the per-cell publish path above, so
-        // the chunk IS published when this fires.
+        // Scripted kill location for the recovery tests: the chunk sits in
+        // its ring cell but, unless its batch was just published above, is
+        // invisible to the consumer — a crash here loses the unpublished
+        // batch whole, as a host dying before its tail store would.
         ctx_->acc().fault_sync_point("p2p-chunk-staged");
         if (last) {
           req.staged = true;
@@ -521,9 +492,6 @@ void Endpoint::flush_publishes() {
 }
 
 void Endpoint::note_publish(int dst, bool edge) {
-  if (legacy_) {
-    return;  // the legacy engine scans every ring; no doorbell traffic
-  }
   if (edge) {
     const auto d = static_cast<std::size_t>(dst);
     dbell_.ring(ctx_->acc(), dst, rank(), dbell_next_[d]++);
@@ -773,7 +741,7 @@ void Endpoint::prepare_eager_staging(Request& req) {
   // One fused pass replaces three (memcpy for staging, CRC in the ring's
   // enqueue, and the eventual retransmit source): copy into the staging
   // buffer while folding the CRC per cell chunk, then push the cells
-  // straight out of that copy with try_enqueue_prehashed. Host-side
+  // straight out of that copy with prehashed try_stage. Host-side
   // bookkeeping (like a NIC retaining its DMA buffer) — no virtual time.
   const std::size_t total = req.send_data.size();
   const std::size_t cell = matrix_.cell_payload();
@@ -1101,19 +1069,11 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   // Batched reaping: the head publish (and with it the invalidate-sweep
   // setup the consumer pays per published head) is deferred across the
   // whole batch and flushed once at every exit below.
-  const bool defer = !legacy_;
-  if (defer) {
-    ring.defer_head_publish(true);
-    // Fused header+payload-line reads on the fault-free hot path only:
-    // the fault/recovery suites pin the pre-change access pattern (their
-    // scripted poison/kill points count individual pool touches), and the
-    // legacy ablation must model the pre-change engine.
-    ring.enable_fused_small_reads(ctx_->device().fault_injector() == nullptr);
-  }
+  ring.defer_head_publish(true);
   std::size_t reaped = 0;
   while (reaped < max_cells) {
     std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
-    if (!header.has_value() && defer) {
+    if (!header.has_value()) {
       // Publish our true head BEFORE concluding empty: the producer's
       // edge detection compares against the published head, and a stale
       // one makes it suppress the doorbell for cells we have not seen —
@@ -1391,15 +1351,15 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       assembly = Assembly{};
     }
   }
-  if (defer) {
-    // One head publish covers the whole batch — including the reap-cap
-    // exit, so a crashed receiver's unpublished-head window never spans
-    // calls (at-least-once redelivery stays confined to one drain).
-    ring.flush_head(ctx_->acc());
-    ring.defer_head_publish(false);
-  }
+  // One head publish covers the whole batch — including the reap-cap
+  // exit, so a crashed receiver's unpublished-head window never spans
+  // calls (at-least-once redelivery stays confined to one drain).
+  ring.flush_head(ctx_->acc());
+  ring.defer_head_publish(false);
   DrainOutcome out;
   out.drained_any = reaped > 0;
+  // Reads one cell ahead; any poison it hits stays parked with that cell
+  // (SpscRing::peek) instead of landing on the next peer's dequeue.
   out.more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
   if (reaped > 0) {
     CMPI_OBS_HIST("p2p.cells_per_reap", reaped);
@@ -1423,50 +1383,41 @@ void Endpoint::progress() {
                   std::memory_order_relaxed)));
     }
   }
-  if (legacy_) {
-    // Ablation baseline: visit every peer, drain each ring dry.
-    for (int src = 0; src < nranks(); ++src) {
-      if (src != rank()) {
-        drain_source(src, std::numeric_limits<std::size_t>::max());
-      }
+  ++progress_calls_;
+  // Periodic full scan: the doorbell hint is an unfenced fire-and-forget
+  // store, so its staleness must be bounded by something fenced — this
+  // is it (the flush-head-before-empty handshake in drain_source makes
+  // losses rare; this makes them harmless).
+  const bool full_scan = progress_calls_ % kFullScanInterval == 0;
+  const int n = nranks();
+  for (int i = 0; i < n; ++i) {
+    // Rotating start: two saturating senders hitting the reap cap are
+    // served round-robin instead of lowest-rank-first.
+    const int src = (scan_start_ + i) % n;
+    if (src == rank()) {
+      continue;
     }
-  } else {
-    ++progress_calls_;
-    // Periodic full scan: the doorbell hint is an unfenced fire-and-forget
-    // store, so its staleness must be bounded by something fenced — this
-    // is it (the flush-head-before-empty handshake in drain_source makes
-    // losses rare; this makes them harmless).
-    const bool full_scan = progress_calls_ % kFullScanInterval == 0;
-    const int n = nranks();
-    for (int i = 0; i < n; ++i) {
-      // Rotating start: two saturating senders hitting the reap cap are
-      // served round-robin instead of lowest-rank-first.
-      const int src = (scan_start_ + i) % n;
-      if (src == rank()) {
-        continue;
-      }
-      const auto s = static_cast<std::size_t>(src);
-      const std::uint64_t bell = dbell_.peek(ctx_->acc(), rank(), src);
-      const bool rung = bell != dbell_seen_[s];
-      if (!rung && drain_pending_[s] == 0 && !full_scan) {
-        continue;  // the common case: one free peek, no ring touch
-      }
-      if (rung) {
-        CMPI_OBS_COUNT("p2p.doorbell_visits", 1);
-      }
-      const DrainOutcome out = drain_source(src, kReapBatchCells);
-      if (rung && !out.drained_any) {
-        CMPI_OBS_COUNT("p2p.doorbell_spurious", 1);
-      }
-      drain_pending_[s] = out.more ? 1 : 0;
-      if (!out.more) {
-        // Advance past the value read BEFORE the drain: a ring landing
-        // during the drain keeps slot != seen, forcing a revisit.
-        dbell_seen_[s] = bell;
-      }
+    const auto s = static_cast<std::size_t>(src);
+    const std::uint64_t bell = dbell_.peek(ctx_->acc(), rank(), src);
+    const bool rung = bell != dbell_seen_[s];
+    if (!rung && drain_pending_[s] == 0 && !full_scan) {
+      continue;  // the common case: one free peek, no ring touch
     }
-    scan_start_ = (scan_start_ + 1) % n;
+    if (rung) {
+      CMPI_OBS_COUNT("p2p.doorbell_visits", 1);
+    }
+    const DrainOutcome out = drain_source(src, kReapBatchCells);
+    if (rung && !out.drained_any) {
+      CMPI_OBS_COUNT("p2p.doorbell_spurious", 1);
+    }
+    drain_pending_[s] = out.more ? 1 : 0;
+    if (!out.more) {
+      // Advance past the value read BEFORE the drain: a ring landing
+      // during the drain keeps slot != seen, forcing a revisit.
+      dbell_seen_[s] = bell;
+    }
   }
+  scan_start_ = (scan_start_ + 1) % n;
   for (int dst = 0; dst < nranks(); ++dst) {
     if (!send_queues_[static_cast<std::size_t>(dst)].empty()) {
       push_sends(dst);
@@ -1680,6 +1631,9 @@ Status Endpoint::wait_for(const RequestPtr& request,
   const double entered = ctx_->clock().now();
   runtime::FailureDetector& detector = ctx_->failure_detector();
   flush_publishes();  // same early-complete staged-send case as wait()
+  // Beat on entry too (rate-limited): a rank whose deadline calls complete
+  // without waiting is busy, not dead.
+  detector.beat(ctx_->acc());
   while (!request->complete_) {
     const std::uint64_t armed = ctx_->doorbell().epoch();
     progress();
@@ -1873,14 +1827,12 @@ Endpoint::PeerScavengeReport Endpoint::scavenge_peer(int dead_rank) {
   std::erase_if(retry_, [&](const auto& entry) {
     return entry.first.first == dead_rank;
   });
-  if (!legacy_) {
-    // PoolRecovery clears the corpse's doorbell slots; resync our local
-    // cursor so the respawned incarnation's FIRST ring is not mistaken
-    // for already-seen (and drop any pending-revisit debt — the ring was
-    // just tombstoned empty).
-    dbell_seen_[dead] = dbell_.peek(ctx_->acc(), rank(), dead_rank) - 1;
-    drain_pending_[dead] = 0;
-  }
+  // PoolRecovery clears the corpse's doorbell slots; resync our local
+  // cursor so the respawned incarnation's FIRST ring is not mistaken
+  // for already-seen (and drop any pending-revisit debt — the ring was
+  // just tombstoned empty).
+  dbell_seen_[dead] = dbell_.peek(ctx_->acc(), rank(), dead_rank) - 1;
+  drain_pending_[dead] = 0;
   return report;
 }
 

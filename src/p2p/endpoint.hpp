@@ -43,17 +43,19 @@
 // the receiver polls its one cacheline-packed row with time-free peeks
 // and visits only peers whose slot moved, reaping up to kReapBatchCells
 // cells per visit with ONE head publish and one invalidate-sweep setup
-// per batch. Senders with no fault injector configured batch cell
-// publication the same way (one fence + one tail store per staged
-// batch), and a burst of nonblocking sends parks its final partial batch
-// across calls — flushed at every progress/test/wait entry and in the
-// destructor — so an isend storm coalesces into few publishes.
+// per batch, each small cell read with one fused header+payload-line
+// load. Senders batch cell publication the same way (one fence + one
+// tail store per staged batch), and a burst of nonblocking sends parks
+// its final partial batch across calls — flushed at every
+// progress/test/wait entry and in the destructor — so an isend storm
+// coalesces into few publishes. This is the only data path: fault-
+// injected runs publish and read exactly as production runs do, so a
+// crash mid-batch loses the unpublished cells as a real one would.
 // Matching is sharded (see tag_match.hpp). A rotating scan start plus the
 // per-visit reap bound round-robins saturating senders fairly. A periodic
 // full scan (every kFullScanInterval calls) plus the flush-head-before-
 // concluding-empty discipline bound the staleness of the unfenced
-// doorbell hint; UniverseConfig::progress_engine = kLegacyScan keeps the
-// pre-doorbell linear-scan engine alive as the ablation baseline.
+// doorbell hint.
 //
 // Large-message fast path (one-copy rendezvous): a message larger than
 // the configured threshold (UniverseConfig::rendezvous_threshold; default
@@ -198,7 +200,7 @@ class Request {
                                      // (control messages, retransmissions,
                                      // eager staging copies)
   /// Per-cell CRC32Cs computed while building `owned` (one fused
-  /// copy+checksum pass); the ring enqueues prehashed from these.
+  /// copy+checksum pass); the ring stages prehashed from these.
   std::vector<std::uint32_t> chunk_crcs;
   // rendezvous send fields (large-message one-copy path)
   bool rendezvous = false;           // path decided at isend/issend time
@@ -467,7 +469,7 @@ class Endpoint {
     bool synchronous = false;
     std::vector<std::byte> data;
     /// Per-cell CRCs carried over from the fused staging pass, so a
-    /// retransmission enqueues prehashed too.
+    /// retransmission stages prehashed too.
     std::vector<std::uint32_t> chunk_crcs;
   };
 
@@ -626,11 +628,6 @@ class Endpoint {
   std::vector<std::uint8_t> publish_dirty_;
   int scan_start_ = 0;             // rotating fairness offset
   std::uint64_t progress_calls_ = 0;
-  bool legacy_ = false;            // kLegacyScan ablation engine
-  /// Publish every cell individually (legacy engine, or any fault
-  /// injector configured: scripted kill points assert exact per-sync-point
-  /// published-cell counts, which batching would coarsen).
-  bool publish_per_cell_ = false;
   /// Keeps matched-but-incomplete posted receives alive while their chunks
   /// stream in (the assembly holds a raw pointer).
   std::vector<RequestPtr> matched_keepalive_;

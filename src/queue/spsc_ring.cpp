@@ -1,10 +1,12 @@
 #include "queue/spsc_ring.hpp"
 
-#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -96,17 +98,7 @@ bool SpscRing::can_enqueue(cxlsim::Accessor& acc) {
 
 bool SpscRing::try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
                            std::span<const std::byte> payload) {
-  if (!stage_cell(acc, header, payload, /*compute_crc=*/true)) {
-    return false;
-  }
-  publish_staged(acc);
-  return true;
-}
-
-bool SpscRing::try_enqueue_prehashed(cxlsim::Accessor& acc,
-                                     const CellHeader& header,
-                                     std::span<const std::byte> payload) {
-  if (!stage_cell(acc, header, payload, /*compute_crc=*/false)) {
+  if (!try_stage(acc, header, payload)) {
     return false;
   }
   publish_staged(acc);
@@ -114,19 +106,8 @@ bool SpscRing::try_enqueue_prehashed(cxlsim::Accessor& acc,
 }
 
 bool SpscRing::try_stage(cxlsim::Accessor& acc, const CellHeader& header,
-                         std::span<const std::byte> payload) {
-  return stage_cell(acc, header, payload, /*compute_crc=*/true);
-}
-
-bool SpscRing::try_stage_prehashed(cxlsim::Accessor& acc,
-                                   const CellHeader& header,
-                                   std::span<const std::byte> payload) {
-  return stage_cell(acc, header, payload, /*compute_crc=*/false);
-}
-
-bool SpscRing::stage_cell(cxlsim::Accessor& acc, const CellHeader& header,
-                          std::span<const std::byte> payload,
-                          bool compute_crc) {
+                         std::span<const std::byte> payload,
+                         bool prehashed) {
   CMPI_EXPECTS(payload.size() <= cell_payload_);
   CMPI_EXPECTS(header.chunk_bytes == payload.size());
   if (!can_enqueue(acc)) {
@@ -144,7 +125,7 @@ bool SpscRing::stage_cell(cxlsim::Accessor& acc, const CellHeader& header,
   Staged staged;
   staged.header = header;
   staged.header.generation = static_cast<std::uint32_t>(tail_local_);
-  if (compute_crc) {
+  if (!prehashed) {
     staged.header.payload_crc = crc32c(payload);
   }
   staged.payload_bytes = static_cast<std::uint32_t>(payload.size());
@@ -214,46 +195,41 @@ std::optional<CellHeader> SpscRing::peek(cxlsim::Accessor& acc) {
   if (peeked_.has_value()) {
     // Same unconsumed cell as the previous peek: time-free re-read (the
     // header cannot change until we consume the cell).
-    return peeked_;
+    return peeked_->header;
   }
   if (!can_dequeue(acc)) {
     return std::nullopt;
   }
-  CellHeader header{};
-  if (fused_reads_) {
-    // Fused small-cell read: one streaming load spans the header line and
-    // the first payload line. Adjacent-line fills pipeline, so the pair
-    // costs one line-fill latency (plus a few ns of device occupancy)
-    // instead of two — and a small-message dequeue then needs no separate
-    // payload read at all.
-    const std::size_t inline_bytes = std::min(cell_payload_, kCacheLineSize);
-    std::array<std::byte, sizeof(CellHeader) + kCacheLineSize> fused;
-    acc.nt_load(cell_base(head_local_),
-                std::span(fused.data(), sizeof(CellHeader) + inline_bytes));
-    std::memcpy(&header, fused.data(), sizeof(CellHeader));
-    std::memcpy(peeked_inline_.data(), fused.data() + sizeof(CellHeader),
-                inline_bytes);
-    peeked_inline_bytes_ = inline_bytes;
-  } else {
-    acc.nt_load(cell_base(head_local_),
-                {reinterpret_cast<std::byte*>(&header), sizeof(CellHeader)});
-    peeked_inline_bytes_ = 0;
-  }
-  acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
-  peeked_ = header;
-  return peeked_;
+  // Fused small-cell read: one streaming load spans the header line and
+  // the first payload line (every cell has one: cell_payload >= 64).
+  // Adjacent-line fills pipeline, so the pair costs one line-fill latency
+  // (plus a few ns of device occupancy) instead of two — and a
+  // small-message dequeue then needs no separate payload read at all.
+  std::array<std::byte, sizeof(CellHeader) + kCacheLineSize> fused;
+  // Park poison this load touches with the cell (see peek() in the header);
+  // poison already pending belongs to an earlier read and stays raised.
+  const std::optional<std::uint64_t> earlier = acc.exchange_poison({});
+  acc.nt_load(cell_base(head_local_), fused);
+  PeekedCell& cell = peeked_.emplace();
+  cell.poison = acc.exchange_poison(earlier);
+  std::memcpy(&cell.header, fused.data(), sizeof(CellHeader));
+  std::memcpy(cell.first_line.data(), fused.data() + sizeof(CellHeader),
+              kCacheLineSize);
+  acc.clock().observe(std::bit_cast<simtime::Ns>(cell.header.stamp));
+  return cell.header;
 }
 
 bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
                            std::span<std::byte> payload_out) {
-  std::size_t inline_bytes = 0;
-  if (peeked_.has_value()) {
-    // peek() already charged the header read for this cell (and, under
-    // fused reads, prefetched the first payload line alongside it).
-    header_out = *peeked_;
-    inline_bytes = peeked_inline_bytes_;
-    peeked_.reset();
-    peeked_inline_bytes_ = 0;
+  // peek() already charged the header read for this cell and prefetched
+  // the first payload line alongside it; its poison surfaces now.
+  const std::optional<PeekedCell> peeked =
+      std::exchange(peeked_, std::nullopt);
+  if (peeked.has_value()) {
+    header_out = peeked->header;
+    if (!acc.poison_pending()) {
+      acc.exchange_poison(peeked->poison);
+    }
   } else if (!can_dequeue(acc)) {
     return false;
   } else {
@@ -269,10 +245,11 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
   if (!payload_out.empty()) {
     CMPI_EXPECTS(payload_out.size() >= header_out.chunk_bytes);
     const auto chunk = payload_out.subspan(0, header_out.chunk_bytes);
-    if (header_out.chunk_bytes <= inline_bytes) {
+    if (peeked.has_value() && header_out.chunk_bytes <= kCacheLineSize) {
       // The whole chunk rode in with the fused peek: host-side copy only,
       // no second pool read, no invalidate sweep.
-      std::memcpy(chunk.data(), peeked_inline_.data(), header_out.chunk_bytes);
+      std::memcpy(chunk.data(), peeked->first_line.data(),
+                  header_out.chunk_bytes);
     } else {
       // In a deferred-head reap batch, cells after the first share the
       // batch's single invalidate sweep.
@@ -326,9 +303,8 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
     const std::uint64_t cell = cell_base(head_local_);
     CellHeader header{};
     if (peeked_.has_value()) {
-      header = *peeked_;
+      header = peeked_->header;  // its poison is discarded with the cell
       peeked_.reset();
-      peeked_inline_bytes_ = 0;
     } else {
       acc.nt_load(cell, {reinterpret_cast<std::byte*>(&header),
                          sizeof(CellHeader)});
@@ -380,7 +356,6 @@ void SpscRing::debug_rebase_counters(cxlsim::Accessor& acc,
   staged_.clear();
   read_setup_charged_ = false;
   peeked_.reset();
-  peeked_inline_bytes_ = 0;
   mid_message_ = false;
 }
 

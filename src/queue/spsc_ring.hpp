@@ -128,14 +128,6 @@ class SpscRing {
   bool try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
                    std::span<const std::byte> payload);
 
-  /// Same as try_enqueue, but trusts `header.payload_crc` as supplied by
-  /// the caller instead of computing CRC32C over `payload` here. The p2p
-  /// eager path computes the checksum while building its staging copy
-  /// (one fused pass over the payload) and hands it in, so the ring does
-  /// not traverse the bytes a second time.
-  bool try_enqueue_prehashed(cxlsim::Accessor& acc, const CellHeader& header,
-                             std::span<const std::byte> payload);
-
   // ---- Producer side: staged batches ----
   // The message-rate path amortizes the per-cell publish cost: stage K
   // cells (payload copies only), then publish_staged() makes them all
@@ -146,12 +138,13 @@ class SpscRing {
 
   /// Stage one chunk without publishing it. Same contract as try_enqueue
   /// (false when the ring is full), but the consumer cannot see the cell
-  /// until publish_staged().
+  /// until publish_staged(). With `prehashed`, `header.payload_crc` is
+  /// trusted as supplied instead of computing CRC32C over `payload` here:
+  /// the p2p eager path computes the checksum while building its staging
+  /// copy (one fused pass over the payload), so the ring does not traverse
+  /// the bytes a second time.
   bool try_stage(cxlsim::Accessor& acc, const CellHeader& header,
-                 std::span<const std::byte> payload);
-  /// try_stage with a caller-computed CRC (see try_enqueue_prehashed).
-  bool try_stage_prehashed(cxlsim::Accessor& acc, const CellHeader& header,
-                           std::span<const std::byte> payload);
+                 std::span<const std::byte> payload, bool prehashed = false);
   /// Cells staged but not yet published.
   [[nodiscard]] std::size_t staged_pending() const noexcept {
     return staged_.size();
@@ -165,7 +158,8 @@ class SpscRing {
   bool publish_staged(cxlsim::Accessor& acc);
   /// Edge verdict of the most recent publish (publish_staged directly, or
   /// the one embedded in try_enqueue). Lets callers that publish per cell
-  /// drive the same doorbell decision as the batched path.
+  /// (rendezvous RTS descriptors) drive the same doorbell decision as the
+  /// batched path.
   [[nodiscard]] bool last_publish_edge() const noexcept {
     return last_publish_edge_;
   }
@@ -175,9 +169,22 @@ class SpscRing {
   [[nodiscard]] bool can_dequeue(cxlsim::Accessor& acc);
 
   /// Peek the header of the next cell without consuming it. Returns
-  /// nullopt when empty. Charges header-read time only on a fresh cell:
-  /// the header is cached until the cell is consumed, so iprobe/probe
-  /// polling loops re-peeking the same cell advance virtual time by zero.
+  /// nullopt when empty. Charges read time only on a fresh cell: the
+  /// header is cached until the cell is consumed, so iprobe/probe polling
+  /// loops re-peeking the same cell advance virtual time by zero.
+  ///
+  /// Small-cell reads are fused: the peek pulls the header line AND the
+  /// first payload line with one streaming load — adjacent-line fills
+  /// pipeline, so the pair costs one line-fill latency instead of two
+  /// (see Accessor::nt_load) — and a dequeue whose chunk fits the
+  /// prefetched line skips the separate payload read (and its invalidate
+  /// sweep) entirely. This is the dominant per-message receiver cost at
+  /// small sizes.
+  ///
+  /// Media poison the peek's read touches belongs to the peeked cell, not
+  /// to whatever the caller reads next: it is taken off the accessor and
+  /// re-raised when that cell is dequeued, so a consumer that peeks one
+  /// cell ahead (end of a reap batch) never charges it to another message.
   std::optional<CellHeader> peek(cxlsim::Accessor& acc);
 
   /// Dequeue the next cell into `payload_out` (must be >= chunk_bytes of
@@ -194,17 +201,6 @@ class SpscRing {
   void defer_head_publish(bool on) noexcept { head_defer_ = on; }
   /// Publish the head if any dequeues are pending publication.
   void flush_head(cxlsim::Accessor& acc);
-
-  /// Fused small-cell reads (consumer side). When enabled, peek() pulls
-  /// the header line AND the first payload line with one streaming load —
-  /// adjacent-line fills pipeline, so the pair costs one line-fill
-  /// latency instead of two (see Accessor::nt_load) — and a dequeue whose
-  /// chunk fits the prefetched line skips the separate payload read (and
-  /// its invalidate sweep) entirely. This is the dominant per-message
-  /// receiver cost at small sizes. Enabled by the doorbell progress
-  /// engine on its fault-free hot path; the legacy-scan ablation and the
-  /// fault/recovery paths keep the pre-change split reads.
-  void enable_fused_small_reads(bool on) noexcept { fused_reads_ = on; }
 
   /// Consumer-side crash symptom: the last dequeued cell was a non-final
   /// chunk of a multi-cell message and no successor cell has arrived — the
@@ -269,9 +265,6 @@ class SpscRing {
     std::uint32_t payload_bytes;
   };
 
-  bool stage_cell(cxlsim::Accessor& acc, const CellHeader& header,
-                  std::span<const std::byte> payload, bool compute_crc);
-
   [[nodiscard]] std::uint64_t cell_base(std::uint64_t index) const noexcept {
     return base_ + kCellsOffset +
            (index % cells_) * (sizeof(CellHeader) + cell_payload_);
@@ -286,16 +279,17 @@ class SpscRing {
   std::uint64_t head_local_ = 0;  // consumer: cells dequeued
   std::uint64_t peer_head_ = 0;   // producer's last view of head
   std::uint64_t peer_tail_ = 0;   // consumer's last view of tail
-  /// Header of the not-yet-consumed cell at head_local_, cached by peek()
+  /// The not-yet-consumed cell at head_local_ as peek() read it, cached
   /// so repeated polls of the same cell are time-free.
-  std::optional<CellHeader> peeked_;
-  /// Consumer-side: fused reads enabled (see enable_fused_small_reads).
-  bool fused_reads_ = false;
-  /// Consumer-side: first payload line of the peeked cell, prefetched by
-  /// the fused peek. Valid for the cell in peeked_ iff
-  /// peeked_inline_bytes_ > 0; consumed or discarded with peeked_.
-  std::array<std::byte, kCacheLineSize> peeked_inline_{};
-  std::size_t peeked_inline_bytes_ = 0;
+  struct PeekedCell {
+    CellHeader header;
+    /// First payload line, prefetched by the fused read.
+    std::array<std::byte, kCacheLineSize> first_line;
+    /// Poisoned pool offset the read touched, re-raised on the accessor at
+    /// this cell's dequeue.
+    std::optional<std::uint64_t> poison;
+  };
+  std::optional<PeekedCell> peeked_;
   /// Consumer-side: the most recently dequeued cell lacked kLastChunk, so
   /// the next cell is owed as part of the same message.
   bool mid_message_ = false;

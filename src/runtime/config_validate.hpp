@@ -18,8 +18,6 @@ struct UniverseConfig;
 ///   * rendezvous_quantum: 0 (default), or in [4 KiB, 16 MiB].
 ///   * rendezvous_inflight: 0 (default), or in [1, 64].
 ///   * tune.period_ns: > 0 and finite.
-///   * tune.mode kEnabled with a legacy-scan progress engine is fine;
-///     every combination of engine and tuning is legal.
 [[nodiscard]] Status validate(const UniverseConfig& config);
 
 }  // namespace cmpi::runtime

@@ -52,16 +52,6 @@ enum class CoherenceChecking {
   kDisabled,  ///< never interpose, even if the environment asks for it
 };
 
-/// Which progress engine the p2p endpoints run (see p2p::Endpoint).
-enum class ProgressEngine {
-  /// Doorbell-aggregated delivery: the receiver polls its AggDoorbell row
-  /// and visits only active peers, reaping cells in amortized batches.
-  kDoorbell,
-  /// The pre-doorbell engine: linear scan of every peer ring with per-cell
-  /// publishes. Kept as the message-rate ablation baseline.
-  kLegacyScan,
-};
-
 struct UniverseConfig {
   unsigned nodes = 2;
   unsigned ranks_per_node = 1;
@@ -101,9 +91,6 @@ struct UniverseConfig {
   /// three knobs above become per-destination starting points instead of
   /// fixed values.
   tune::TuneOptions tune{};
-  /// p2p progress engine (doorbell-aggregated by default; kLegacyScan is
-  /// the message-rate ablation baseline).
-  ProgressEngine progress_engine = ProgressEngine::kDoorbell;
   /// §3.5's rejected alternative to software coherence: mark the whole
   /// pool uncachable via MTRR. Correct but drastically slower past the
   /// PCIe MPS (see bench/ablation_coherence_mode and Fig. 11).

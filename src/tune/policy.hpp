@@ -38,12 +38,6 @@ struct KnobSettings {
   /// Un-FINished rendezvous slots allowed in flight toward one
   /// destination (was kMaxRendezvousInflight).
   std::size_t inflight_depth = 0;
-  /// Producer-side publish batch bounds (cells / staged payload bytes).
-  /// Routed through the policy like the rest; the current controller
-  /// leaves them at their defaults (adapting them interacts with the
-  /// kill-point determinism discipline — see publish_per_cell_).
-  std::size_t publish_batch_cells = 0;
-  std::size_t publish_batch_bytes = 0;
 
   friend bool operator==(const KnobSettings&, const KnobSettings&) = default;
 };

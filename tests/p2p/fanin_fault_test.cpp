@@ -11,6 +11,9 @@
 //  * PoolRecovery zeroes the dead sender's aggregated-doorbell slot so
 //    its stale rings cannot wake the receiver forever.
 //
+// KillMidBatch aims the crash between staging a cell and publishing its
+// batch: the unpublished batch must die with the sender, whole.
+//
 // The CI fault matrix reruns this binary under several CMPI_FAULT_SEED
 // values (the label regex selects *fault_test* binaries).
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/cmpi.hpp"
 #include "cxlsim/fault_injector.hpp"
+#include "p2p/endpoint.hpp"
 #include "runtime/doorbell.hpp"
 #include "runtime/universe.hpp"
 
@@ -119,8 +123,11 @@ TEST_P(FaninFault, SeededSenderCrashLosesNothingAndClearsDoorbell) {
       return;
     }
     if (me != kReceiver) {
+      // Deadline sends heartbeat while they wait: a plain send stalled by
+      // host load past the lease would read as a death to the receiver.
       for (int k = 0; k < kPerSender; ++k) {
-        check_ok(mpi.send(kReceiver, k, payload_for(seed, me, k)));
+        check_ok(
+            mpi.send_for(kReceiver, k, payload_for(seed, me, k), 30000ms));
       }
       // Stay alive (heartbeating) until the receiver has drained and
       // audited everything — an early exit would read as a failure.
@@ -191,6 +198,68 @@ TEST_P(FaninFault, SeededSenderCrashLosesNothingAndClearsDoorbell) {
   EXPECT_GE(victim_delivered.load(), 0);
   EXPECT_LT(victim_delivered.load(), kPerSender)
       << "the scripted crash fired too late to test anything";
+}
+
+class KillMidBatch : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Crash at the Nth "p2p-chunk-staged": 1 is the blocking send, 2..25 the
+// burst. The burst's first batch publishes at 17, so 2 and 10 die inside
+// it, 17 right after it, 18 and 20 inside the second.
+INSTANTIATE_TEST_SUITE_P(Occurrences, KillMidBatch,
+                         ::testing::Values(2u, 10u, 17u, 18u, 20u));
+
+TEST_P(KillMidBatch, UnpublishedBatchDiesWithTheSender) {
+  constexpr int kBurst = 24;
+  constexpr std::uint64_t kBatch = p2p::Endpoint::kPublishBatchCells;
+  const std::uint64_t occurrence = GetParam();
+  runtime::UniverseConfig cfg = fanin_config();
+  cfg.nodes = 2;
+  cfg.pool_size = 32_MiB;
+  cfg.cell_payload = 256;  // one 64 B message per cell
+  cfg.ring_cells = 64;     // never full: only batching decides publication
+  cfg.fault_plan.crash_at_sync.push_back(
+      {.rank = 0, .point = "p2p-chunk-staged", .occurrence = occurrence});
+  runtime::Universe universe(cfg);
+  std::vector<std::vector<std::byte>> sent;
+  for (int k = 0; k <= kBurst; ++k) {
+    sent.emplace_back(64, static_cast<std::byte>(k + 1));
+  }
+
+  universe.run([&](runtime::RankCtx& ctx) {
+    Session mpi(ctx);
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      check_ok(mpi.send(1, 3, sent[0]));
+      std::vector<p2p::RequestPtr> reqs;
+      for (int k = 1; k <= kBurst; ++k) {
+        reqs.push_back(mpi.isend(1, 3, sent[static_cast<std::size_t>(k)]));
+      }
+      FAIL() << "victim outlived its crash schedule";
+      return;
+    }
+    ASSERT_TRUE(wait_for_crash(ctx, 0));
+    // The blocking send plus every whole batch the burst published, in
+    // order; the receive past that prefix finds the victim dead.
+    const std::uint64_t prefix = 1 + kBatch * ((occurrence - 1) / kBatch);
+    for (std::uint64_t k = 0; k <= prefix; ++k) {
+      std::vector<std::byte> buf(64);
+      const auto r = mpi.recv_for(0, 3, buf, 10000ms);
+      if (k == prefix) {
+        EXPECT_EQ(r.status().code(), ErrorCode::kPeerFailed)
+            << "message " << k << " arrived past the published prefix";
+      } else {
+        ASSERT_TRUE(r.is_ok()) << "message " << k << ": "
+                               << r.status().message();
+        ASSERT_EQ(buf, sent[k]) << "message " << k << " out of order";
+      }
+    }
+    EXPECT_EQ(mpi.endpoint().debug_queue_sizes().unexpected, 0u);
+    const auto rep = mpi.scavenge(0);
+    ASSERT_TRUE(rep.is_ok()) << rep.status().message();
+    EXPECT_EQ(rep.value().endpoint.cells_drained, 0u);
+    EXPECT_EQ(rep.value().endpoint.cells_torn, 0u);
+  });
+  EXPECT_EQ(universe.failed_ranks(), (std::vector<int>{0}));
 }
 
 }  // namespace

@@ -7,8 +7,7 @@
 //    (source, tag), but MPI semantics are defined over global orders:
 //    wildcard receives must take unexpected messages in ARRIVAL order and
 //    posted receives must match in POSTED order, across shards.
-//  * Doorbell accounting — edges ring, non-edges are suppressed, and the
-//    legacy-scan ablation generates no doorbell traffic at all.
+//  * Doorbell accounting — edges ring, non-edges are suppressed.
 #include "p2p/endpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -262,60 +261,6 @@ TEST(PublishBatching, BurstOfNonblockingSendsCoalescesPublishes) {
         check_ok(ep.recv(0, 5, buf));
         EXPECT_EQ(buf, pattern(64, i));
       }
-    }
-  });
-}
-
-TEST(PublishBatching, LegacyScanKeepsPerCellPublishes) {
-  // The ablation baseline: the legacy engine publishes every cell
-  // immediately, so cells-per-publish stays exactly 1.
-  constexpr int kBurst = 8;
-  runtime::UniverseConfig cfg = engine_config(2, 256, 32);
-  cfg.progress_engine = runtime::ProgressEngine::kLegacyScan;
-  runtime::Universe universe(cfg);
-  universe.run([&](runtime::RankCtx& ctx) {
-    Endpoint ep = Endpoint::create(ctx);
-    ctx.barrier();
-    if (ctx.rank() == 0) {
-      std::vector<std::vector<std::byte>> bufs(
-          kBurst, std::vector<std::byte>(64));
-      std::vector<RequestPtr> reqs;
-      reqs.reserve(kBurst);
-      for (int i = 0; i < kBurst; ++i) {
-        bufs[static_cast<std::size_t>(i)] = pattern(64, 100 + i);
-        reqs.push_back(ep.isend(1, 6, bufs[static_cast<std::size_t>(i)]));
-      }
-      check_ok(ep.wait_all(reqs));
-      const CommStats s = ep.stats();
-      EXPECT_EQ(s.cells_published, static_cast<std::uint64_t>(kBurst));
-      EXPECT_EQ(s.publish_batches, static_cast<std::uint64_t>(kBurst));
-    } else {
-      std::vector<std::byte> buf(64);
-      for (int i = 0; i < kBurst; ++i) {
-        check_ok(ep.recv(0, 6, buf));
-        EXPECT_EQ(buf, pattern(64, 100 + i));
-      }
-    }
-  });
-}
-
-TEST(DoorbellStats, LegacyScanGeneratesNoDoorbellTraffic) {
-  // The before/after ablation knob: the legacy engine models the
-  // pre-doorbell linear scan and must neither ring nor suppress.
-  runtime::UniverseConfig cfg = engine_config(2);
-  cfg.progress_engine = runtime::ProgressEngine::kLegacyScan;
-  runtime::Universe universe(cfg);
-  universe.run([&](runtime::RankCtx& ctx) {
-    Endpoint ep = Endpoint::create(ctx);
-    if (ctx.rank() == 0) {
-      check_ok(ep.send(1, 3, pattern(128, 5)));
-      const CommStats s = ep.stats();
-      EXPECT_EQ(s.doorbell_rings, 0u);
-      EXPECT_EQ(s.doorbell_suppressed, 0u);
-    } else {
-      std::vector<std::byte> buf(128);
-      check_ok(ep.recv(0, 3, buf));
-      EXPECT_EQ(buf, pattern(128, 5));
     }
   });
 }

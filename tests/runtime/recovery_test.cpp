@@ -85,16 +85,17 @@ TEST(PoolRecoveryScavenge, MidSendCrashSurvivorsReclaimEverything) {
   // on the chunked path (the rendezvous-path crashes have their own suite
   // in rendezvous_fault_test).
   cfg.rendezvous_threshold = 64_KiB;
-  // Rank 3 dies after staging chunk 2 of its second message: message A
-  // (1 chunk, to rank 0) is durable, message B (3 chunks, to rank 1) is
-  // forever partial.
+  cfg.cell_payload = 8_KiB;  // kPublishBatchBytes = two chunks
+  // Rank 3 dies after staging chunk 3 of its second message: message A
+  // (1 chunk, to rank 0) is durable, message B (4 chunks, to rank 1) is
+  // forever partial — chunks 1-2 published as one batch, chunk 3 not.
   cfg.fault_plan.crash_at_sync.push_back(
-      {.rank = 3, .point = "p2p-chunk-staged", .occurrence = 3});
+      {.rank = 3, .point = "p2p-chunk-staged", .occurrence = 4});
   runtime::Universe universe(cfg);
 
   constexpr int kVictim = 3;
   const std::vector<std::byte> msg_a = patterned(256, 7);
-  const std::vector<std::byte> msg_b = patterned(10000, 8);
+  const std::vector<std::byte> msg_b = patterned(30000, 8);
   std::atomic<std::uint64_t> free_before{0};
 
   universe.run([&](runtime::RankCtx& ctx) {
@@ -113,7 +114,7 @@ TEST(PoolRecoveryScavenge, MidSendCrashSurvivorsReclaimEverything) {
     switch (ctx.rank()) {
       case kVictim: {
         check_ok(mpi.send(0, 0, msg_a));
-        (void)mpi.send(1, 1, msg_b);  // crashes at chunk 2
+        (void)mpi.send(1, 1, msg_b);  // crashes at chunk 3
         FAIL() << "scripted mid-send crash did not fire";
         break;
       }
@@ -145,7 +146,7 @@ TEST(PoolRecoveryScavenge, MidSendCrashSurvivorsReclaimEverything) {
         EXPECT_EQ(report.pool.arena_slots_reclaimed, 2u);
         EXPECT_EQ(report.pool.arena_bytes_reclaimed, 4096u + 8192u);
         EXPECT_EQ(ctx.arena().free_bytes(), free_before.load());
-        // The two staged-but-undeliverable chunks of message B.
+        // The two published-but-undeliverable chunks of message B.
         EXPECT_EQ(report.endpoint.cells_drained, 2u);
         EXPECT_EQ(report.endpoint.cells_torn, 0u);
         std::byte token{0x1};
@@ -207,14 +208,16 @@ TEST(PoolRecoveryRespawn, StaleCellsAreFencedAndTheRankRejoins) {
   // Crash scripted at eager chunk boundaries (see the rendezvous fault
   // suite for the large-message analogue).
   cfg.rendezvous_threshold = 64_KiB;
-  // Epoch 1: rank 1 fully stages message A (1 chunk), dies after chunk 2
-  // of message B — three incarnation-0 cells sit unconsumed in the ring.
+  cfg.cell_payload = 8_KiB;  // kPublishBatchBytes = two chunks
+  // Epoch 1: rank 1 fully stages message A (1 chunk), dies after chunk 3
+  // of message B (chunks 1-2 published as one batch, chunk 3 not) — three
+  // incarnation-0 cells sit unconsumed in the ring.
   cfg.fault_plan.crash_at_sync.push_back(
-      {.rank = 1, .point = "p2p-chunk-staged", .occurrence = 3});
+      {.rank = 1, .point = "p2p-chunk-staged", .occurrence = 4});
   runtime::Universe universe(cfg);
 
   const std::vector<std::byte> msg_a = patterned(300, 21);
-  const std::vector<std::byte> msg_b = patterned(10000, 22);
+  const std::vector<std::byte> msg_b = patterned(30000, 22);
   const std::vector<std::byte> msg_c = patterned(500, 23);
   const std::vector<std::byte> msg_d = patterned(64, 24);
 
@@ -223,7 +226,7 @@ TEST(PoolRecoveryRespawn, StaleCellsAreFencedAndTheRankRejoins) {
     ctx.barrier();
     if (ctx.rank() == 1) {
       check_ok(mpi.send(0, 0, msg_a));
-      (void)mpi.send(0, 1, msg_b);  // crashes at chunk 2
+      (void)mpi.send(0, 1, msg_b);  // crashes at chunk 3
       FAIL() << "scripted mid-send crash did not fire";
     } else {
       // Deliberately no scavenge and no receive: the stale cells stay in
@@ -406,6 +409,95 @@ TEST(PayloadIntegrity, PersistentDamageExhaustsRetriesAndSurfaces) {
   EXPECT_EQ(stats.retransmits,
             static_cast<std::uint64_t>(p2p::Endpoint::kMaxRetransmits));
   EXPECT_EQ(stats.retransmit_rejects, 0u);
+}
+
+/// A drain reaps kReapBatchCells of sender A's (rank 1) cells, then peeks
+/// A's next cell before it visits sender B (rank 2). Poison on `line` of
+/// that cell belongs to A's seq 16: exactly one NAK and one retransmission,
+/// both A's, and B's clean message goes through untouched.
+void expect_read_ahead_poison_charged_to_its_cell(std::uint64_t line) {
+  constexpr int kBurst = 20;  // A's messages; B sends one more
+  constexpr std::uint32_t kPoisoned = p2p::Endpoint::kReapBatchCells;
+  runtime::UniverseConfig cfg = recovery_config(3);
+  cfg.ring_cells = 32;  // A's burst and its retransmission fit
+  cfg.fault_plan.crash_at_sync.push_back(
+      {.rank = 0, .point = "recovery-test-never", .occurrence = 1});
+  runtime::Universe universe(cfg);
+
+  universe.run([&](runtime::RankCtx& ctx) {
+    Session mpi(ctx);
+    const auto ring = [&](int sender) {
+      return mpi.endpoint().debug_ring_base(0, sender);
+    };
+    const std::uint64_t stride =
+        sizeof(queue::CellHeader) + mpi.endpoint().cell_payload();
+    const auto cell_a = [&](std::uint64_t index) {
+      return ring(1) + queue::SpscRing::kCellsOffset + index * stride;
+    };
+    if (ctx.rank() == 0) {
+      ctx.device().fault_injector()->poison(cell_a(kPoisoned) + line, 64);
+    }
+    ctx.barrier();
+    std::vector<std::vector<std::byte>> sent(kBurst + 1);
+    std::vector<std::vector<std::byte>> got(kBurst + 1,
+                                            std::vector<std::byte>(8));
+    std::vector<p2p::RequestPtr> reqs;
+    for (int k = 0; k <= kBurst; ++k) {
+      const int from = k < kBurst ? 1 : 2;
+      const auto i = static_cast<std::size_t>(k);
+      sent[i] = patterned(8, 100 + i);
+      if (ctx.rank() == from) {
+        reqs.push_back(mpi.isend(0, k, sent[i]));
+      } else if (ctx.rank() == 0) {
+        reqs.push_back(mpi.irecv(from, k, got[i]));
+      }
+    }
+    if (ctx.rank() != 0) {
+      check_ok(mpi.wait_all(reqs));
+    }
+    ctx.barrier();  // everything is published before the receiver drains
+    if (ctx.rank() != 0) {
+      std::byte token{};  // keep progressing: a NAK must be serviced
+      check_ok(mpi.recv_for(0, 99, {&token, 1}, 10000ms).status());
+      return;
+    }
+    for (const p2p::RequestPtr& req : reqs) {
+      const Status st = mpi.endpoint().wait_for(req, 10000ms);
+      EXPECT_TRUE(st.is_ok()) << st.message();
+    }
+    EXPECT_EQ(got, sent);
+    // Cells each sender ever published toward us: B's one; A's burst plus
+    // a retransmission, which must be of seq 16.
+    const auto tail = [&](int sender) {
+      return ctx.acc()
+          .peek_flag(ring(sender) + queue::SpscRing::kTailOffset)
+          .value;
+    };
+    EXPECT_EQ(tail(2), 1u) << "B's clean message was NAKed";
+    EXPECT_EQ(tail(1), kBurst + 1u) << "A's seq 16 was never NAKed";
+    queue::CellHeader resent{};
+    ctx.acc().nt_load(cell_a(kBurst), {reinterpret_cast<std::byte*>(&resent),
+                                       sizeof(resent)});
+    EXPECT_NE(resent.flags & queue::kRetransmit, 0u);
+    EXPECT_EQ(resent.msg_seq, kPoisoned);
+    for (const int sender : {1, 2}) {
+      std::byte token{0x1};
+      check_ok(mpi.send(sender, 99, {&token, 1}));
+    }
+  });
+
+  const runtime::RecoveryStats stats = universe.recovery_stats();
+  EXPECT_EQ(stats.naks_sent, 1u);
+  EXPECT_EQ(stats.retransmits, 1u);
+  EXPECT_EQ(stats.crc_failures, 0u);  // media error, not bit rot
+}
+
+TEST(PayloadIntegrity, ReadAheadPoisonedHeaderIsChargedToItsOwnCell) {
+  expect_read_ahead_poison_charged_to_its_cell(0);
+}
+
+TEST(PayloadIntegrity, ReadAheadPoisonedPayloadLineIsChargedToItsOwnCell) {
+  expect_read_ahead_poison_charged_to_its_cell(sizeof(queue::CellHeader));
 }
 
 // ---------------------------------------------------------------------

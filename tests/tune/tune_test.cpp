@@ -25,8 +25,6 @@ KnobSettings test_defaults() {
   defaults.rendezvous_threshold = 16_KiB;
   defaults.pipeline_quantum = 128_KiB;
   defaults.inflight_depth = 8;
-  defaults.publish_batch_cells = 4;
-  defaults.publish_batch_bytes = 64_KiB;
   return defaults;
 }
 
