@@ -114,6 +114,11 @@ Result<Arena> Arena::format(cxlsim::Accessor& acc, std::uint64_t base,
 
 namespace {
 
+/// How long attach waits for the arena lock before giving up. Holders
+/// only split or merge a few blocks; a dead holder's ticket is broken
+/// when attach's caller can convict it.
+constexpr std::chrono::seconds kAttachLockTimeout{30};
+
 /// Hex rendering for fsck diagnostics (pool offsets read naturally in hex).
 std::string hex(std::uint64_t value) {
   char buf[24];
@@ -140,10 +145,6 @@ Status Arena::validate_free_list(cxlsim::Accessor& acc, std::uint64_t base,
   // never have more blocks than this; a walk longer than the bound has a
   // cycle even if the address-order check were somehow defeated.
   const std::uint64_t max_blocks = header.objects_size / kCacheLineSize;
-  // Lock-free scan: like open()'s optimistic probe, racing a locked
-  // writer's transient dirty window is benign (attach is a structural
-  // sanity check, not a consistency point).
-  cxlsim::CoherenceChecker::ToleranceScope tolerate_optimistic_scan;
   std::uint64_t at = header.free_head;
   std::uint64_t prev = 0;
   std::uint64_t steps = 0;
@@ -184,20 +185,20 @@ Status Arena::validate_free_list(cxlsim::Accessor& acc, std::uint64_t base,
 }
 
 Result<Arena> Arena::attach(cxlsim::Accessor& acc, std::uint64_t base,
-                            std::size_t participant,
-                            std::uint64_t incarnation) {
+                            std::size_t participant, std::uint64_t incarnation,
+                            const BakeryLock::DeadPredicate& peer_dead) {
   Header header{};
-  read_pod(acc, base, header);
+  {
+    // Lock-free read of the fields format() wrote once; it may race a
+    // locked writer rewriting free_head, which is re-read under the lock.
+    cxlsim::CoherenceChecker::ToleranceScope tolerate_unlocked_header;
+    read_pod(acc, base, header);
+  }
   if (header.magic != kHeaderMagic) {
     return status::not_found("no arena formatted at this base");
   }
   if (header.version != kVersion) {
     return status::invalid_argument("arena version mismatch");
-  }
-  if (Status fsck = validate_free_list(acc, base, header); !fsck.is_ok()) {
-    CMPI_OBS_INSTANT("arena.fsck_failed");
-    CMPI_OBS_FLIGHT("arena: attach found a corrupt free list");
-    return fsck;
   }
   auto index = MultilevelHash::create(header.levels, header.level1_buckets);
   if (!index.is_ok()) {
@@ -207,6 +208,22 @@ Result<Arena> Arena::attach(cxlsim::Accessor& acc, std::uint64_t base,
       BakeryLock::attach(acc, base + header.lock_offset);
   if (!lock_view.is_ok()) {
     return lock_view.status();
+  }
+  // Walk the free list under the lock create/destroy hold: a lock-free
+  // walk can catch a block split or merge half done and report it as
+  // corruption.
+  if (Status locked = lock_view.value().lock_for(
+          acc, participant, kAttachLockTimeout, peer_dead);
+      !locked.is_ok()) {
+    return locked;
+  }
+  read_pod(acc, base, header);
+  const Status fsck = validate_free_list(acc, base, header);
+  lock_view.value().unlock(acc, participant);
+  if (!fsck.is_ok()) {
+    CMPI_OBS_INSTANT("arena.fsck_failed");
+    CMPI_OBS_FLIGHT("arena: attach found a corrupt free list");
+    return fsck;
   }
   return Arena(acc, base, participant, incarnation, header,
                std::move(index).value(), std::move(lock_view).value());

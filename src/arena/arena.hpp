@@ -85,10 +85,14 @@ class Arena {
   /// on-pool free list with a bounded walk (block count can never exceed
   /// objects_size / cacheline) and fails with kCorruptPool for a cyclic,
   /// out-of-bounds or magic-less chain — an unbounded walk would hang on
-  /// exactly the corruption a crashed writer leaves behind.
+  /// exactly the corruption a crashed writer leaves behind. The walk
+  /// holds the arena lock, so it never sees a create/destroy half done;
+  /// `peer_dead` lets the lock wait break a convicted corpse's ticket
+  /// (see BakeryLock::lock_for).
   static Result<Arena> attach(cxlsim::Accessor& acc, std::uint64_t base,
                               std::size_t participant,
-                              std::uint64_t incarnation = 0);
+                              std::uint64_t incarnation = 0,
+                              const BakeryLock::DeadPredicate& peer_dead = {});
 
   /// Create a new named object of `size` bytes (rounded up to cacheline).
   /// Fails with kAlreadyExists, kCapacityExceeded (all hash levels taken
@@ -218,9 +222,9 @@ class Arena {
         std::uint64_t incarnation, const Header& header, MultilevelHash index,
         BakeryLock lock_view);
 
-  /// Bounded structural scan of the free list (no lock; callers are either
-  /// the single format-time writer or attach, which tolerates a transient
-  /// dirty window the same way open()'s optimistic probe does).
+  /// Bounded structural scan of the free list starting at
+  /// `header.free_head`. The caller holds the arena lock and read
+  /// `header` under it.
   static Status validate_free_list(cxlsim::Accessor& acc, std::uint64_t base,
                                    const Header& header);
 

@@ -245,6 +245,7 @@ void Accessor::bulk_write(std::uint64_t offset, std::span<const std::byte> src,
   const simtime::Ns done =
       device_.timing().reserve_device(start, src.size(), /*is_read=*/false,
                                      wfq_class_);
+  CMPI_OBS_COUNT("cxl.bulk_sweeps", charge == BulkCharge::kFull ? 1 : 0);
   CMPI_OBS_COUNT("cxl.bulk_write_bytes", src.size());
   CMPI_OBS_HIST("cxl.dev_write_wait_ns", done - start);
   pending_drain_ = std::max(pending_drain_, done + p.line_write_latency);
@@ -273,6 +274,7 @@ void Accessor::bulk_read(std::uint64_t offset, std::span<std::byte> dst,
   const simtime::Ns done =
       device_.timing().reserve_device(start, dst.size(), /*is_read=*/true,
                                      wfq_class_);
+  CMPI_OBS_COUNT("cxl.bulk_sweeps", charge == BulkCharge::kFull ? 1 : 0);
   CMPI_OBS_COUNT("cxl.bulk_read_bytes", dst.size());
   CMPI_OBS_HIST("cxl.dev_read_wait_ns", done - start);
   clock_.observe(done + p.line_fill_latency);

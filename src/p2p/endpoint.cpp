@@ -549,12 +549,16 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
     const std::size_t seg = std::min(seg_quantum, total - seg_begin);
     if (req.rdvz_written <= seg_begin) {
       // Write the segment into the slab in bounded sub-chunks, folding
-      // the CRC in as the bytes stream past (host-side, charge-free).
+      // the CRC in as the bytes stream past (host-side, charge-free). The
+      // segment's RTS publish fences all of its pieces at once, so they
+      // share one flush sweep: only the first piece pays its setup.
       std::uint32_t crc = 0;
       for (std::size_t off = 0; off < seg; off += piece_max) {
         const std::size_t piece = std::min(piece_max, seg - off);
         const auto piece_span = req.send_data.subspan(seg_begin + off, piece);
-        acc.bulk_write(slab + seg_begin + off, piece_span);
+        acc.bulk_write(slab + seg_begin + off, piece_span,
+                       off == 0 ? cxlsim::Accessor::BulkCharge::kFull
+                                : cxlsim::Accessor::BulkCharge::kBatched);
         crc = crc32c(piece_span, crc);
       }
       req.rdvz_seg_crc = crc;
@@ -687,7 +691,9 @@ void Endpoint::pull_rendezvous_segment(std::uint64_t seg_pool_offset,
       rdvz_bulk_chunk(matrix_.cell_payload(), acc.device().timing().params());
   // The slab stays live until we FIN, so a CRC mismatch here is repaired
   // by re-reading in place — the rendezvous analogue of the eager path's
-  // NAK/retransmit loop, with the same attempt budget.
+  // NAK/retransmit loop, with the same attempt budget. Each attempt issues
+  // one invalidate sweep over the whole segment, so only its first piece
+  // pays the sweep's setup; a re-read pays its own.
   for (std::size_t attempt = 0; attempt <= kMaxRetransmits; ++attempt) {
     std::uint32_t crc = 0;
     for (std::size_t off = 0; off < seg_bytes; off += piece_max) {
@@ -702,7 +708,9 @@ void Endpoint::pull_rendezvous_segment(std::uint64_t seg_pool_offset,
         scratch_.resize(piece);
         dst = std::span<std::byte>(scratch_).subspan(0, piece);
       }
-      acc.bulk_read(seg_pool_offset + off, dst);
+      acc.bulk_read(seg_pool_offset + off, dst,
+                    off == 0 ? cxlsim::Accessor::BulkCharge::kFull
+                             : cxlsim::Accessor::BulkCharge::kBatched);
       crc = crc32c(dst, crc);
       if (!fits && at < buffer.size()) {
         std::memcpy(buffer.data() + at, dst.data(), buffer.size() - at);
@@ -1256,9 +1264,15 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       assembly.corrupt = true;
       ctx_->recovery_counters().crc_failures.fetch_add(1);
     }
-    if (ctx_->acc().poison_pending() && assembly.data_error.is_ok()) {
-      assembly.data_error = ctx_->acc().take_poison_status(
+    if (ctx_->acc().poison_pending()) {
+      // Take it even when the message already holds an error: poison
+      // left pending would be claimed by the next cell dequeued, which
+      // may belong to another peer's message. The first error is kept.
+      Status poison = ctx_->acc().take_poison_status(
           "recv payload from rank " + std::to_string(src));
+      if (assembly.data_error.is_ok()) {
+        assembly.data_error = std::move(poison);
+      }
     }
     if (!assembly.rendezvous) {
       assembly.received += header->chunk_bytes;

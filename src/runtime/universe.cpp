@@ -213,9 +213,16 @@ void Universe::run(const std::function<void(RankCtx&)>& fn) {
       obs::RankScope obs_scope(ctx.rank_, ctx.node_, &ctx.clock_,
                                config_.tenant_id);
       try {
-        ctx.arena_ = std::make_unique<arena::Arena>(
-            check_ok(arena::Arena::attach(*ctx.acc_, arena_base_, r,
-                                          incarnations_[r])));
+        // Arena participants are ranks: a rank that died holding the
+        // arena lock must not stall the attach of a late-starting peer.
+        const cxlsim::FaultInjector* injector = device_->fault_injector();
+        ctx.arena_ = std::make_unique<arena::Arena>(check_ok(
+            arena::Arena::attach(*ctx.acc_, arena_base_, r, incarnations_[r],
+                                 [injector](std::size_t participant) {
+                                   return injector != nullptr &&
+                                          injector->rank_crashed(
+                                              static_cast<int>(participant));
+                                 })));
         ctx.init_barrier_ = std::make_unique<SeqBarrier>(
             *ctx.acc_, barrier_base_, nranks, r);
         ctx.detector_ = std::make_unique<FailureDetector>(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -271,6 +272,54 @@ TEST_F(ArenaTest, ConcurrentCreatesFromManyNodes) {
                       .is_ok());
     }
   }
+}
+
+TEST_F(ArenaTest, AttachDuringCreateDestroyChurnSeesNoCorruption) {
+  // One participant loops create/destroy 1,000 times while four others
+  // attach over and over. Each round splits three objects off the head
+  // free block and overwrites them as a user would (their free-list
+  // headers go with it), then frees them so that one is linked alone, one
+  // merges with the following block and one with both neighbours. Every
+  // attach walks the free list; a split or merge caught half done must
+  // never read as a corrupt pool.
+  Arena bootstrap = make_arena();
+  constexpr int kAttachers = 4;
+  std::atomic<bool> churning{true};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    simtime::VClock clock;
+    cxlsim::CacheSim cache(*device_);
+    cxlsim::Accessor acc(*device_, cache, clock);
+    Arena arena = check_ok(Arena::attach(acc, 0, 1));
+    const std::vector<std::byte> fill(4096, std::byte{0xA5});
+    for (int i = 0; i < 1000; ++i) {
+      ObjectHandle a = check_ok(arena.create("churn_a", fill.size()));
+      ObjectHandle b = check_ok(arena.create("churn_b", fill.size()));
+      ObjectHandle c = check_ok(arena.create("churn_c", fill.size()));
+      for (const ObjectHandle* object : {&a, &b, &c}) {
+        acc.bulk_write(object->pool_offset, fill);
+      }
+      check_ok(arena.destroy(a));
+      check_ok(arena.destroy(c));
+      check_ok(arena.destroy(b));
+    }
+    churning = false;
+  });
+  for (int t = 0; t < kAttachers; ++t) {
+    threads.emplace_back([&, t] {
+      simtime::VClock clock;
+      cxlsim::CacheSim cache(*device_);
+      cxlsim::Accessor acc(*device_, cache, clock);
+      do {
+        const Result<Arena> view = Arena::attach(acc, 0, t + 2);
+        ASSERT_TRUE(view.is_ok()) << view.status().message();
+      } while (churning.load());
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(bootstrap.free_bytes(), bootstrap.objects_size());
 }
 
 // --- Free-list fsck on attach (bounded walk, kCorruptPool) -------------

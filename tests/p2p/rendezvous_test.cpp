@@ -1,12 +1,15 @@
 // Large-message one-copy rendezvous protocol: adaptive path selection,
 // deferred (unexpected) pulls, slot recycling bounds, eager fallback when
-// no slab is available, and the bounded retransmit-staging budget that
-// rides along with the fused eager staging pass.
+// no slab is available, the bounded retransmit-staging budget that rides
+// along with the fused eager staging pass, and one flush sweep per
+// segment on each side.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "p2p/endpoint.hpp"
 
 namespace cmpi::p2p {
@@ -238,6 +241,63 @@ TEST(Rendezvous, EagerStagingBytesStayBounded) {
       }
     }
   });
+}
+
+class RendezvousSweeps : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::Config config;
+    config.metrics = true;
+    obs::configure(config);
+    obs::MetricsRegistry::instance().reset_for_test();
+  }
+  void TearDown() override {
+    obs::MetricsRegistry::instance().reset_for_test();
+    obs::configure(obs::Config{});
+  }
+
+  static std::uint64_t sweeps() {
+    return obs::MetricsRegistry::instance().snapshot().counter(
+        "cxl.bulk_sweeps");
+  }
+};
+
+TEST_F(RendezvousSweeps, OnePerSegmentPerSide) {
+  // 1 MiB at the default 16 KiB cells: eight 128 KiB segments of eight
+  // 16 KiB bulk pieces. A segment's pieces share one flush sweep on the
+  // sender (its RTS publish fences them together) and one invalidate
+  // sweep on the receiver, so each side pays eight sweep setups, not 64.
+  constexpr std::uint64_t kSegments = 8;
+  const auto data = pattern(1_MiB, 11);
+  std::atomic<std::uint64_t> sender_sweeps{0};
+  std::atomic<std::uint64_t> receiver_sweeps{0};
+  runtime::Universe universe(rdvz_config(16_KiB));
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      // The receiver sits at the barrier: every sweep here is the
+      // sender's. The send returns once all segments are announced.
+      const std::uint64_t before = sweeps();
+      check_ok(ep.send(1, 0, data));
+      sender_sweeps = sweeps() - before;
+      EXPECT_EQ(ep.stats().rendezvous_sent, 1u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      const std::uint64_t before = sweeps();
+      std::vector<std::byte> buf(data.size());
+      check_ok(ep.recv(0, 0, buf));
+      receiver_sweeps = sweeps() - before;
+      EXPECT_EQ(buf, data);
+    }
+    ctx.barrier();
+  });
+  // Each RTS cell publishes alone and pays its own sweep.
+  EXPECT_EQ(sender_sweeps.load(), kSegments + kSegments);
+  // The FIN cell pays one; the RTS descriptors arrive in the fused header
+  // read and need no bulk read.
+  EXPECT_EQ(receiver_sweeps.load(), kSegments + 1);
 }
 
 }  // namespace

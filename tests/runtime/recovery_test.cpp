@@ -167,10 +167,11 @@ TEST(PoolRecoveryScavenge, MidSendCrashSurvivorsReclaimEverything) {
 
 TEST(PoolRecoveryScavenge, DeadLockHolderTicketIsBroken) {
   runtime::UniverseConfig cfg = recovery_config();
-  // Rank 1's first bakery acquisition is the arena lock inside its
-  // create(): it dies holding the lock, ticket standing.
+  // Rank 1's first bakery acquisition is the arena lock for its attach
+  // fsck; the second is the arena lock inside its create(): it dies
+  // holding the lock, ticket standing.
   cfg.fault_plan.crash_at_sync.push_back(
-      {.rank = 1, .point = "lock-acquired", .occurrence = 1});
+      {.rank = 1, .point = "lock-acquired", .occurrence = 2});
   runtime::Universe universe(cfg);
 
   universe.run([&](runtime::RankCtx& ctx) {
@@ -498,6 +499,70 @@ TEST(PayloadIntegrity, ReadAheadPoisonedHeaderIsChargedToItsOwnCell) {
 
 TEST(PayloadIntegrity, ReadAheadPoisonedPayloadLineIsChargedToItsOwnCell) {
   expect_read_ahead_poison_charged_to_its_cell(sizeof(queue::CellHeader));
+}
+
+TEST(PayloadIntegrity, SecondPoisonedCellStaysWithItsMessage) {
+  // Sender A's (rank 1) three-cell message has media errors in its first
+  // two cells. Both belong to A's message: one NAK, one retransmission,
+  // and sender B's (rank 2) clean message that the receiver dequeues
+  // afterwards goes through untouched.
+  runtime::UniverseConfig cfg = recovery_config(3);
+  cfg.rendezvous_threshold = 64_KiB;  // keep A's message on the cells
+  cfg.fault_plan.crash_at_sync.push_back(
+      {.rank = 0, .point = "recovery-test-never", .occurrence = 1});
+  runtime::Universe universe(cfg);
+  const std::vector<std::byte> msg_a = patterned(3 * cfg.cell_payload, 61);
+  const std::vector<std::byte> msg_b = patterned(8, 62);
+
+  universe.run([&](runtime::RankCtx& ctx) {
+    Session mpi(ctx);
+    const auto ring = [&](int sender) {
+      return mpi.endpoint().debug_ring_base(0, sender);
+    };
+    if (ctx.rank() == 0) {
+      const std::uint64_t stride =
+          sizeof(queue::CellHeader) + mpi.endpoint().cell_payload();
+      for (const std::uint64_t cell : {0, 1}) {
+        ctx.device().fault_injector()->poison(
+            ring(1) + queue::SpscRing::kCellsOffset + cell * stride +
+                sizeof(queue::CellHeader),
+            64);
+      }
+    }
+    ctx.barrier();
+    if (ctx.rank() != 0) {
+      check_ok(mpi.send(0, ctx.rank(), ctx.rank() == 1 ? msg_a : msg_b));
+      ctx.barrier();  // both messages are published before any drain
+      std::byte token{};  // keep progressing: A's NAK must be serviced
+      check_ok(mpi.recv_for(0, 99, {&token, 1}, 10000ms).status());
+      return;
+    }
+    std::vector<std::byte> got_a(msg_a.size());
+    std::vector<std::byte> got_b(msg_b.size());
+    const p2p::RequestPtr reqs[] = {mpi.irecv(1, 1, got_a),
+                                    mpi.irecv(2, 2, got_b)};
+    ctx.barrier();
+    for (const p2p::RequestPtr& req : reqs) {
+      const Status st = mpi.endpoint().wait_for(req, 10000ms);
+      EXPECT_TRUE(st.is_ok()) << st.message();
+    }
+    EXPECT_EQ(got_a, msg_a);
+    EXPECT_EQ(got_b, msg_b);
+    EXPECT_EQ(ctx.acc()
+                  .peek_flag(ring(2) + queue::SpscRing::kTailOffset)
+                  .value,
+              1u)
+        << "B's clean message was NAKed";
+    for (const int sender : {1, 2}) {
+      std::byte token{0x1};
+      check_ok(mpi.send(sender, 99, {&token, 1}));
+    }
+  });
+
+  const runtime::RecoveryStats stats = universe.recovery_stats();
+  EXPECT_EQ(stats.naks_sent, 1u);
+  EXPECT_EQ(stats.retransmits, 1u);
+  EXPECT_EQ(stats.crc_failures, 0u);  // media error, not bit rot
 }
 
 // ---------------------------------------------------------------------
