@@ -13,7 +13,7 @@ namespace detail {
 std::atomic<bool> g_metrics_on{false};
 std::atomic<bool> g_trace_on{false};
 std::atomic<bool> g_flight_on{false};
-thread_local RankInfo t_rank{};
+constinit thread_local RankInfo t_rank{};
 }  // namespace detail
 
 namespace {

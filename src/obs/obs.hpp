@@ -89,7 +89,7 @@ struct RankInfo {
 };
 
 namespace detail {
-extern thread_local RankInfo t_rank;
+extern constinit thread_local RankInfo t_rank;
 }  // namespace detail
 
 /// Current rank's virtual time, 0 on threads without a clock.

@@ -1,6 +1,7 @@
 #include "p2p/endpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -991,6 +992,8 @@ bool Endpoint::match_unexpected(Request& request) {
   }
   CMPI_OBS_HIST("p2p.match_probe_len", probe);
   UnexpectedMsg& msg = *found;
+  // The rank consumes the message now, so its cells' time lands now.
+  ctx_->clock().observe(msg.stamp);
   if (msg.rendezvous) {
     // Deferred one-copy delivery: the payload waited in the sender's
     // slab; pull it pool→user now that the destination is known, then
@@ -1200,7 +1203,8 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
           std::max<std::size_t>(header->chunk_bytes, sizeof(desc)));
       ring.try_dequeue(
           ctx_->acc(), consumed,
-          std::span<std::byte>(scratch_).subspan(0, header->chunk_bytes));
+          std::span<std::byte>(scratch_).subspan(0, header->chunk_bytes),
+          /*absorb_stamp=*/assembly.unexpected == nullptr);
       bool desc_ok = ring.last_dequeue_intact() &&
                      header->chunk_bytes == sizeof(RdvzDescriptor);
       if (desc_ok) {
@@ -1250,7 +1254,8 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       ring.try_dequeue(
           ctx_->acc(), consumed,
           std::span<std::byte>(assembly.unexpected->data)
-              .subspan(header->chunk_offset, header->chunk_bytes));
+              .subspan(header->chunk_offset, header->chunk_bytes),
+          /*absorb_stamp=*/false);
       assembly.unexpected->received += header->chunk_bytes;
     } else {
       // Detached: the matched receive was cancelled (deadline/failure)
@@ -1259,6 +1264,12 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       // consuming and discarding the rest of the message.
       scratch_.resize(header->chunk_bytes);
       ring.try_dequeue(ctx_->acc(), consumed, scratch_);
+    }
+    if (assembly.unexpected != nullptr) {
+      // A parked cell keeps its stamp on the message (match_unexpected).
+      assembly.unexpected->stamp =
+          std::max(assembly.unexpected->stamp,
+                   std::bit_cast<simtime::Ns>(consumed.stamp));
     }
     if (!ring.last_dequeue_intact()) {
       assembly.corrupt = true;
@@ -1373,7 +1384,8 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   DrainOutcome out;
   out.drained_any = reaped > 0;
   // Reads one cell ahead; any poison it hits stays parked with that cell
-  // (SpscRing::peek) instead of landing on the next peer's dequeue.
+  // (SpscRing::peek) instead of landing on the next peer's dequeue, and
+  // its stamp waits for the dequeue too.
   out.more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
   if (reaped > 0) {
     CMPI_OBS_HIST("p2p.cells_per_reap", reaped);
@@ -1858,6 +1870,8 @@ std::optional<RecvInfo> Endpoint::iprobe(int src, int tag) {
   const UnexpectedMsgPtr msg =
       unexpected_.find_match(src, tag, /*require_full=*/false);
   if (msg != nullptr) {
+    // Reporting the envelope consumes what has arrived of the message.
+    ctx_->clock().observe(msg->stamp);
     RecvInfo info;
     info.source = msg->source;
     info.tag = msg->tag;

@@ -39,6 +39,7 @@
 
 #include "common/hash.hpp"
 #include "common/status.hpp"
+#include "simtime/vclock.hpp"
 
 namespace cmpi::p2p {
 
@@ -87,6 +88,10 @@ struct UnexpectedMsg {
   bool retry_pending = false;
   /// Media error recorded while chunks were drained (kDataPoisoned).
   Status data_error;
+  /// Latest cell stamp drained into this message. Draining does not move
+  /// the receiver's clock: the stamp is absorbed when a receive matches
+  /// the message or an iprobe reports it.
+  simtime::Ns stamp = 0;
   [[nodiscard]] bool full() const noexcept { return received == total; }
 };
 

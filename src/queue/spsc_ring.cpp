@@ -215,12 +215,12 @@ std::optional<CellHeader> SpscRing::peek(cxlsim::Accessor& acc) {
   std::memcpy(&cell.header, fused.data(), sizeof(CellHeader));
   std::memcpy(cell.first_line.data(), fused.data() + sizeof(CellHeader),
               kCacheLineSize);
-  acc.clock().observe(std::bit_cast<simtime::Ns>(cell.header.stamp));
   return cell.header;
 }
 
 bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
-                           std::span<std::byte> payload_out) {
+                           std::span<std::byte> payload_out,
+                           bool absorb_stamp) {
   // peek() already charged the header read for this cell and prefetched
   // the first payload line alongside it; its poison surfaces now.
   const std::optional<PeekedCell> peeked =
@@ -236,6 +236,8 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
     acc.nt_load(cell_base(head_local_),
                 {reinterpret_cast<std::byte*>(&header_out),
                  sizeof(CellHeader)});
+  }
+  if (absorb_stamp) {
     acc.clock().observe(std::bit_cast<simtime::Ns>(header_out.stamp));
   }
   const std::uint64_t cell = cell_base(head_local_);
@@ -308,8 +310,8 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
     } else {
       acc.nt_load(cell, {reinterpret_cast<std::byte*>(&header),
                          sizeof(CellHeader)});
-      acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
     }
+    acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
     // Do not trust the header: a torn cell's chunk_bytes could index out
     // of the cell. Validate generation first and clamp the payload walk.
     const bool generation_ok =

@@ -32,9 +32,10 @@
 // `stamp` is the producer's virtual time when THIS cell's payload was
 // durable in the pool; `freed_stamp` is the consumer's time when it
 // finished with the cell. Each side absorbs the *per-cell* stamp of the
-// cell it touches, never the head/tail flag's stamp: the flags only carry
+// cell it consumes, never the head/tail flag's stamp: the flags only carry
 // the newest publish time, and absorbing that would serialize an in-flight
-// pipeline into batch-lockstep and halve streaming throughput.
+// pipeline into batch-lockstep and halve streaming throughput. The
+// consumer absorbs at dequeue, not at peek (see peek()).
 //
 // A message larger than cell_payload is split into consecutive cells
 // (§4.3); the SPSC FIFO guarantees chunks arrive in order and contiguously.
@@ -171,7 +172,11 @@ class SpscRing {
   /// Peek the header of the next cell without consuming it. Returns
   /// nullopt when empty. Charges read time only on a fresh cell: the
   /// header is cached until the cell is consumed, so iprobe/probe polling
-  /// loops re-peeking the same cell advance virtual time by zero.
+  /// loops re-peeking the same cell advance virtual time by zero. The
+  /// cell's stamp is not absorbed here: looking at a cell is not consuming
+  /// it, and a consumer that peeks ahead (or at a cell it will park as
+  /// unexpected) must not jump to a time no receive has asked for yet.
+  /// try_dequeue absorbs it.
   ///
   /// Small-cell reads are fused: the peek pulls the header line AND the
   /// first payload line with one streaming load — adjacent-line fills
@@ -189,8 +194,12 @@ class SpscRing {
 
   /// Dequeue the next cell into `payload_out` (must be >= chunk_bytes of
   /// the peeked header; pass empty to discard). Returns false when empty.
+  /// The cell's stamp is absorbed before the payload read unless
+  /// `absorb_stamp` is false: then the caller keeps `header_out.stamp` and
+  /// absorbs it when it consumes what the cell carries (the p2p layer
+  /// does so for cells that park as unexpected messages).
   bool try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
-                   std::span<std::byte> payload_out);
+                   std::span<std::byte> payload_out, bool absorb_stamp = true);
 
   // ---- Consumer side: batched reaping ----
   /// When deferred, try_dequeue skips the per-cell head publish (and

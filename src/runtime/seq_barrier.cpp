@@ -8,14 +8,21 @@ void SeqBarrier::format(cxlsim::Accessor& acc, std::uint64_t base,
                         std::size_t ranks) {
   CMPI_EXPECTS(is_aligned(base, kCacheLineSize));
   for (std::size_t r = 0; r < ranks; ++r) {
-    acc.publish_flag(base + r * kCacheLineSize, 0);
+    acc.publish_flag(flag(base, r, 0), 0);
+    acc.publish_flag(flag(base, r, 1), 0);
   }
+}
+
+std::uint64_t SeqBarrier::published(cxlsim::Accessor& acc, std::uint64_t base,
+                                    std::size_t rank) {
+  return std::max(acc.peek_flag(flag(base, rank, 0)).value,
+                  acc.peek_flag(flag(base, rank, 1)).value);
 }
 
 void SeqBarrier::enter(cxlsim::Accessor& acc, Doorbell& doorbell) {
   acc.fault_sync_point("barrier-enter");
   ++sequence_;
-  acc.publish_flag(slot(my_rank_), sequence_);
+  acc.publish_flag(flag(base_, my_rank_, sequence_), sequence_);
   doorbell.ring();
   for (std::size_t r = 0; r < ranks_; ++r) {
     if (r == my_rank_) {
@@ -23,7 +30,7 @@ void SeqBarrier::enter(cxlsim::Accessor& acc, Doorbell& doorbell) {
     }
     cxlsim::Accessor::FlagValue seen{};
     doorbell.wait_until([&] {
-      seen = acc.peek_flag(slot(r));
+      seen = acc.peek_flag(flag(base_, r, sequence_));
       return seen.value >= sequence_;
     });
     acc.absorb_flag(seen);
@@ -38,15 +45,20 @@ bool SeqBarrier::forge_slot(cxlsim::Accessor& acc, std::uint64_t base,
     if (r == dead_rank) {
       continue;
     }
-    max_seq = std::max(max_seq,
-                       acc.peek_flag(base + r * kCacheLineSize).value);
+    max_seq = std::max(max_seq, published(acc, base, r));
   }
-  const std::uint64_t dead_slot = base + dead_rank * kCacheLineSize;
-  if (acc.peek_flag(dead_slot).value >= max_seq) {
-    return false;
+  // Forge the latest epoch of each parity up to max_seq (epoch 0 is the
+  // format's value).
+  bool forged = false;
+  for (std::uint64_t back = 0; back < 2 && back < max_seq; ++back) {
+    const std::uint64_t epoch = max_seq - back;
+    const std::uint64_t dead_flag = flag(base, dead_rank, epoch);
+    if (acc.peek_flag(dead_flag).value < epoch) {
+      acc.publish_flag(dead_flag, epoch);
+      forged = true;
+    }
   }
-  acc.publish_flag(dead_slot, max_seq);
-  return true;
+  return forged;
 }
 
 Status SeqBarrier::enter_for(cxlsim::Accessor& acc, Doorbell& doorbell,
@@ -55,7 +67,7 @@ Status SeqBarrier::enter_for(cxlsim::Accessor& acc, Doorbell& doorbell,
   acc.fault_sync_point("barrier-enter");
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   ++sequence_;
-  acc.publish_flag(slot(my_rank_), sequence_);
+  acc.publish_flag(flag(base_, my_rank_, sequence_), sequence_);
   doorbell.ring();
   for (std::size_t r = 0; r < ranks_; ++r) {
     if (r == my_rank_) {
@@ -66,7 +78,7 @@ Status SeqBarrier::enter_for(cxlsim::Accessor& acc, Doorbell& doorbell,
     const bool arrived = doorbell.wait_until(
         [&] {
           detector.beat(acc);
-          seen = acc.peek_flag(slot(r));
+          seen = acc.peek_flag(flag(base_, r, sequence_));
           if (seen.value >= sequence_) {
             return true;
           }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace cmpi::p2p {
@@ -312,6 +314,52 @@ TEST(Endpoint, BlockingProbeReportsEnvelope) {
       EXPECT_EQ(buffer, pattern(300, 2));
     }
   });
+}
+
+// A receive absorbs the time of the message it consumes, not of a later
+// message drained in the same batch: rank 1 sends A, works 1 ms, publishes
+// B, and only then lets rank 0 receive A. A must complete before B was
+// sent; probing and receiving B must read at least B's send time.
+void expect_stamp_lands_when_consumed(std::size_t b_bytes) {
+  runtime::Universe universe(small_config(2, 1, 16_KiB, 16));
+  std::atomic<bool> b_published{false};
+  double b_sent_at = 0;  // written by rank 1 before the release store
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    const auto a = pattern(8, 1);
+    const auto b = pattern(b_bytes, 2);
+    if (ctx.rank() == 1) {
+      check_ok(ep.send(0, 1, a));
+      ctx.clock().advance(1e6);
+      b_sent_at = ctx.clock().now();
+      const RequestPtr sent = ep.isend(0, 2, b);
+      ep.test(sent);  // a flush point: B's cells are visible from here on
+      b_published.store(true, std::memory_order_release);
+      check_ok(ep.wait(sent));
+    } else {
+      while (!b_published.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      std::vector<std::byte> a_in(a.size());
+      check_ok(ep.recv(1, 1, a_in));
+      EXPECT_EQ(a_in, a);
+      EXPECT_LT(ctx.clock().now(), b_sent_at);
+      EXPECT_EQ(ep.probe(1, 2).bytes, b_bytes);
+      EXPECT_GE(ctx.clock().now(), b_sent_at);
+      std::vector<std::byte> b_in(b_bytes);
+      check_ok(ep.recv(1, 2, b_in));
+      EXPECT_GE(ctx.clock().now(), b_sent_at);
+      EXPECT_EQ(b_in, b);
+    }
+  });
+}
+
+TEST(Endpoint, EagerStampLandsWhenConsumed) {
+  expect_stamp_lands_when_consumed(8);
+}
+
+TEST(Endpoint, RendezvousStampLandsWhenConsumed) {
+  expect_stamp_lands_when_consumed(256_KiB);
 }
 
 TEST(Endpoint, SendrecvExchangesWithoutDeadlock) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -144,6 +146,44 @@ TEST(SeqBarrier, ReusableManyTimes) {
       ctx.barrier();
     }
   });
+}
+
+TEST(SeqBarrier, EachEpochExitsAtItsOwnLastArrival) {
+  // Rank r works (1 + (r + k) % 8) x 100 us before epoch k, so the last
+  // arrival rotates and early leavers enter epoch k + 1 while slower
+  // ranks still wait in k. A waiter must absorb each peer's epoch-k
+  // arrival, not the next epoch's.
+  constexpr int kRanks = 8;
+  constexpr int kEpochs = 50;
+  struct Crossing {
+    double arrived = 0;
+    double left = 0;
+  };
+  std::vector<Crossing> crossings(kRanks * kEpochs);
+  Universe universe(small_config(2, 4));
+  universe.run([&](RankCtx& ctx) {
+    const int r = ctx.rank();
+    for (int k = 0; k < kEpochs; ++k) {
+      ctx.clock().advance((1 + (r + k) % kRanks) * 100e3);
+      Crossing& c = crossings[static_cast<std::size_t>(k * kRanks + r)];
+      c.arrived = ctx.clock().now();
+      ctx.barrier();
+      c.left = ctx.clock().now();
+    }
+  });
+  for (int k = 0; k < kEpochs; ++k) {
+    const auto epoch = std::span(crossings).subspan(
+        static_cast<std::size_t>(k * kRanks), kRanks);
+    double last_arrival = 0;
+    for (const Crossing& c : epoch) {
+      last_arrival = std::max(last_arrival, c.arrived);
+    }
+    for (int r = 0; r < kRanks; ++r) {
+      const double left = epoch[static_cast<std::size_t>(r)].left;
+      EXPECT_GE(left, last_arrival) << "rank " << r << " epoch " << k;
+      EXPECT_LE(left, last_arrival + 50e3) << "rank " << r << " epoch " << k;
+    }
+  }
 }
 
 TEST(Doorbell, WaitUntilReturnsWhenPredicateHolds) {
