@@ -993,7 +993,7 @@ bool Endpoint::match_unexpected(Request& request) {
   CMPI_OBS_HIST("p2p.match_probe_len", probe);
   UnexpectedMsg& msg = *found;
   // The rank consumes the message now, so its cells' time lands now.
-  ctx_->clock().observe(msg.stamp);
+  ctx_->clock().observe(msg.ready);
   if (msg.rendezvous) {
     // Deferred one-copy delivery: the payload waited in the sender's
     // slab; pull it pool→user now that the destination is known, then
@@ -1190,6 +1190,7 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
 
     // Deliver this chunk.
     queue::CellHeader consumed{};
+    const simtime::Ns dequeue_start = ctx_->clock().now();
     if (assembly.control) {
       ring.try_dequeue(ctx_->acc(), consumed,
                        std::span<std::byte>(assembly.control_data)
@@ -1266,10 +1267,12 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       ring.try_dequeue(ctx_->acc(), consumed, scratch_);
     }
     if (assembly.unexpected != nullptr) {
-      // A parked cell keeps its stamp on the message (match_unexpected).
-      assembly.unexpected->stamp =
-          std::max(assembly.unexpected->stamp,
-                   std::bit_cast<simtime::Ns>(consumed.stamp));
+      // A parked cell's data is ready once the cell was written and then
+      // read; the message keeps that time for match_unexpected.
+      assembly.unexpected->ready = std::max(
+          assembly.unexpected->ready,
+          std::bit_cast<simtime::Ns>(consumed.stamp) +
+              (ctx_->clock().now() - dequeue_start));
     }
     if (!ring.last_dequeue_intact()) {
       assembly.corrupt = true;
@@ -1871,7 +1874,7 @@ std::optional<RecvInfo> Endpoint::iprobe(int src, int tag) {
       unexpected_.find_match(src, tag, /*require_full=*/false);
   if (msg != nullptr) {
     // Reporting the envelope consumes what has arrived of the message.
-    ctx_->clock().observe(msg->stamp);
+    ctx_->clock().observe(msg->ready);
     RecvInfo info;
     info.source = msg->source;
     info.tag = msg->tag;

@@ -88,10 +88,11 @@ struct UnexpectedMsg {
   bool retry_pending = false;
   /// Media error recorded while chunks were drained (kDataPoisoned).
   Status data_error;
-  /// Latest cell stamp drained into this message. Draining does not move
-  /// the receiver's clock: the stamp is absorbed when a receive matches
-  /// the message or an iprobe reports it.
-  simtime::Ns stamp = 0;
+  /// Virtual time at which the cells drained so far are in `data`: each
+  /// cell's stamp plus the time its read took. Draining does not move the
+  /// receiver's clock to it: a receive that matches the message, or an
+  /// iprobe that reports it, absorbs it.
+  simtime::Ns ready = 0;
   [[nodiscard]] bool full() const noexcept { return received == total; }
 };
 

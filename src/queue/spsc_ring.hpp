@@ -195,9 +195,10 @@ class SpscRing {
   /// Dequeue the next cell into `payload_out` (must be >= chunk_bytes of
   /// the peeked header; pass empty to discard). Returns false when empty.
   /// The cell's stamp is absorbed before the payload read unless
-  /// `absorb_stamp` is false: then the caller keeps `header_out.stamp` and
-  /// absorbs it when it consumes what the cell carries (the p2p layer
-  /// does so for cells that park as unexpected messages).
+  /// `absorb_stamp` is false: then the caller keeps `header_out.stamp`,
+  /// plus the time this call took, and absorbs it when it consumes what
+  /// the cell carries (the p2p layer does so for cells that park as
+  /// unexpected messages).
   bool try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
                    std::span<std::byte> payload_out, bool absorb_stamp = true);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -360,6 +361,63 @@ TEST(Endpoint, EagerStampLandsWhenConsumed) {
 
 TEST(Endpoint, RendezvousStampLandsWhenConsumed) {
   expect_stamp_lands_when_consumed(256_KiB);
+}
+
+// A parked message's data is ready no earlier than a posted receive's:
+// its cell must be written before it is read, even when the receiver
+// drained it early. Rank 1 sends the same 4 KiB message twice, 1 ms after
+// its previous step: B1 parks behind A, B2 lands in a posted receive.
+// Receiving B1 must take as long after its send as B2 does, less the ring
+// head publish that follows B2's read (B1's drain published it early).
+TEST(Endpoint, ParkedReadFollowsTheCellStamp) {
+  runtime::UniverseConfig cfg = small_config(2, 1, 16_KiB, 16);
+  cfg.mpi_call_overhead = 0;
+  runtime::Universe universe(cfg);
+  std::atomic<int> phase{0};
+  std::array<double, 2> sent_at{};      // rank 1
+  std::array<double, 2> received_at{};  // rank 0
+  double head_publish = 0;              // rank 0
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    const auto a = pattern(8, 1);
+    const auto b = pattern(4_KiB, 2);
+    auto send_b = [&](int tag, std::size_t i) {
+      ctx.clock().advance(1e6);
+      sent_at[i] = ctx.clock().now();
+      const RequestPtr sent = ep.isend(0, tag, b);
+      ep.test(sent);  // a flush point: B's cell is visible from here on
+      return sent;
+    };
+    if (ctx.rank() == 1) {
+      check_ok(ep.send(0, 1, a));
+      const RequestPtr parked = send_b(2, 0);
+      phase.store(1, std::memory_order_release);
+      check_ok(ep.wait(parked));
+      while (phase.load(std::memory_order_acquire) != 2) {
+        std::this_thread::yield();
+      }
+      check_ok(ep.wait(send_b(3, 1)));
+    } else {
+      const auto& params = ctx.device().timing().params();
+      head_publish = params.fence_cost + params.nt_store_latency;
+      while (phase.load(std::memory_order_acquire) != 1) {
+        std::this_thread::yield();
+      }
+      std::vector<std::byte> a_in(a.size());
+      std::vector<std::byte> b_in(b.size());
+      check_ok(ep.recv(1, 1, a_in));  // drains B1 too: it parks
+      check_ok(ep.recv(1, 2, b_in));
+      received_at[0] = ctx.clock().now();
+      EXPECT_EQ(b_in, b);
+      const RequestPtr posted = ep.irecv(1, 3, b_in);
+      phase.store(2, std::memory_order_release);
+      check_ok(ep.wait(posted));
+      received_at[1] = ctx.clock().now();
+      EXPECT_EQ(b_in, b);
+    }
+  });
+  EXPECT_GE(received_at[0] - sent_at[0],
+            received_at[1] - sent_at[1] - head_publish);
 }
 
 TEST(Endpoint, SendrecvExchangesWithoutDeadlock) {
