@@ -67,8 +67,17 @@ TEST(StatsRace, ConcurrentStatsReadersSeeConsistentCounters) {
   universe.run([&](RankCtx& ctx) {
     p2p::Endpoint ep = p2p::Endpoint::create(ctx);
     if (ctx.rank() == 0) {
-      std::lock_guard<std::mutex> lock(ep_mutex);
-      shared_ep = &ep;
+      {
+        std::lock_guard<std::mutex> lock(ep_mutex);
+        shared_ep = &ep;
+      }
+      // Stream only after one whole poll has read this endpoint: on a
+      // loaded host the poller may otherwise not run before the ranks
+      // finish, and nothing would race.
+      const std::uint64_t seen = polls.load(std::memory_order_relaxed);
+      while (polls.load(std::memory_order_relaxed) < seen + 2) {
+        std::this_thread::yield();
+      }
     }
     std::vector<std::byte> payload(1024, std::byte{0x3C});
     for (int i = 0; i < kMessages; ++i) {
