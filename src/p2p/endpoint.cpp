@@ -1083,6 +1083,7 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   ring.defer_head_publish(true);
   std::size_t reaped = 0;
   while (reaped < max_cells) {
+    const simtime::Ns peek_start = ctx_->clock().now();
     std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
     if (!header.has_value()) {
       // Publish our true head BEFORE concluding empty: the producer's
@@ -1267,12 +1268,14 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
       ring.try_dequeue(ctx_->acc(), consumed, scratch_);
     }
     if (assembly.unexpected != nullptr) {
-      // A parked cell's data is ready once the cell was written and then
-      // read; the message keeps that time for match_unexpected.
-      assembly.unexpected->ready = std::max(
-          assembly.unexpected->ready,
-          std::bit_cast<simtime::Ns>(consumed.stamp) +
-              (ctx_->clock().now() - dequeue_start));
+      // A parked cell's data is ready when a rank waiting for it would
+      // have it: its peek follows the message's previous cell, its read
+      // follows its stamp. The message keeps that time for
+      // match_unexpected.
+      UnexpectedMsg& msg = *assembly.unexpected;
+      msg.ready = std::max(msg.ready + (dequeue_start - peek_start),
+                           std::bit_cast<simtime::Ns>(consumed.stamp)) +
+                  (ctx_->clock().now() - dequeue_start);
     }
     if (!ring.last_dequeue_intact()) {
       assembly.corrupt = true;

@@ -88,10 +88,12 @@ struct UnexpectedMsg {
   bool retry_pending = false;
   /// Media error recorded while chunks were drained (kDataPoisoned).
   Status data_error;
-  /// Virtual time at which the cells drained so far are in `data`: each
-  /// cell's stamp plus the time its read took. Draining does not move the
-  /// receiver's clock to it: a receive that matches the message, or an
-  /// iprobe that reports it, absorbs it.
+  /// Virtual time at which the cells drained so far are in `data`, as a
+  /// rank that waited for them would have them: cell by cell, the later
+  /// of its stamp and the previous cell's ready time plus its peek, then
+  /// its read. Draining does not move the receiver's clock to it: a
+  /// receive that matches the message, or an iprobe that reports it,
+  /// absorbs it.
   simtime::Ns ready = 0;
   [[nodiscard]] bool full() const noexcept { return received == total; }
 };

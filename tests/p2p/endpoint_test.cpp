@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -364,14 +365,17 @@ TEST(Endpoint, RendezvousStampLandsWhenConsumed) {
 }
 
 // A parked message's data is ready no earlier than a posted receive's:
-// its cell must be written before it is read, even when the receiver
-// drained it early. Rank 1 sends the same 4 KiB message twice, 1 ms after
-// its previous step: B1 parks behind A, B2 lands in a posted receive.
-// Receiving B1 must take as long after its send as B2 does, less the ring
-// head publish that follows B2's read (B1's drain published it early).
-TEST(Endpoint, ParkedReadFollowsTheCellStamp) {
-  runtime::UniverseConfig cfg = small_config(2, 1, 16_KiB, 16);
+// its cells must be written before they are read, one after another,
+// even when the receiver drained them early. Rank 1 sends the same
+// message twice, 1 ms after its previous step: B1 parks behind A, B2
+// lands in a posted receive. Receiving B1 must take as long after its
+// send as B2 does, less the ring head publish that follows B2's reads
+// (B1's drain published it early).
+void expect_parked_read_follows_the_stamp(std::size_t cell_payload,
+                                          std::size_t b_bytes) {
+  runtime::UniverseConfig cfg = small_config(2, 1, cell_payload, 16);
   cfg.mpi_call_overhead = 0;
+  cfg.rendezvous_threshold = std::numeric_limits<std::size_t>::max();
   runtime::Universe universe(cfg);
   std::atomic<int> phase{0};
   std::array<double, 2> sent_at{};      // rank 1
@@ -380,12 +384,12 @@ TEST(Endpoint, ParkedReadFollowsTheCellStamp) {
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
     const auto a = pattern(8, 1);
-    const auto b = pattern(4_KiB, 2);
+    const auto b = pattern(b_bytes, 2);
     auto send_b = [&](int tag, std::size_t i) {
       ctx.clock().advance(1e6);
       sent_at[i] = ctx.clock().now();
       const RequestPtr sent = ep.isend(0, tag, b);
-      ep.test(sent);  // a flush point: B's cell is visible from here on
+      ep.test(sent);  // a flush point: B's cells are visible from here on
       return sent;
     };
     if (ctx.rank() == 1) {
@@ -418,6 +422,14 @@ TEST(Endpoint, ParkedReadFollowsTheCellStamp) {
   });
   EXPECT_GE(received_at[0] - sent_at[0],
             received_at[1] - sent_at[1] - head_publish);
+}
+
+TEST(Endpoint, ParkedReadFollowsTheCellStamp) {
+  expect_parked_read_follows_the_stamp(16_KiB, 4_KiB);
+}
+
+TEST(Endpoint, ParkedCellsAreReadOneAfterAnother) {
+  expect_parked_read_follows_the_stamp(4_KiB, 12_KiB);
 }
 
 TEST(Endpoint, SendrecvExchangesWithoutDeadlock) {
