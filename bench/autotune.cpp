@@ -1,8 +1,9 @@
 // Offline autotuner (tune subsystem): sweeps the Fig 9 axes — cell size x
 // rendezvous threshold x procs, plus a pipeline-quantum/inflight
 // mini-sweep — and writes the winning configuration per message-size
-// class to bench/baselines/dispatch_table.json. The runtime controller
-// loads that table (CMPI_TUNE_TABLE) as its warm-start prior.
+// class to bench/baselines/dispatch_table.json. With tuning on
+// (CMPI_TUNE=1, CMPI_TUNE_TABLE=<that file>) every endpoint sends with
+// the rows for its cell payload.
 //
 //   ./bench/autotune                  full sweep, print winners
 //   CMPI_UPDATE_BASELINE=1 ./bench/autotune   ...and rewrite the baseline
@@ -96,8 +97,8 @@ double measure_mbps(std::size_t probe_size, const std::vector<int>& procs,
     params.rendezvous_threshold = config.rendezvous_threshold;
     params.rendezvous_quantum = config.pipeline_quantum;
     params.rendezvous_inflight = config.inflight_depth;
-    // The sweep measures STATIC configurations; a tuner adapting
-    // mid-probe would fold the controller into its own training data.
+    // The sweep measures the configuration it names; a table picked up
+    // from the environment would replace the knobs under test.
     params.tune.mode = cmpi::tune::Tuning::kDisabled;
     sum += cmpi::osu::cxl_twosided_bw_mbps(params)[0];
   }
@@ -107,8 +108,8 @@ double measure_mbps(std::size_t probe_size, const std::vector<int>& procs,
 /// Best configuration for one (size class, cell payload): staged sweep —
 /// threshold first (stock pipeline knobs), then quantum x inflight around
 /// the winner. Cuts the grid from |t||q||i| runs to |t| + |q||i|. The
-/// cell is fixed per row: the runtime controller can only consult rows
-/// matching the geometry its universe was built with.
+/// cell is fixed per row: an endpoint uses only rows matching the
+/// geometry its universe was built with.
 DispatchEntry tune_class(std::size_t max_bytes, std::size_t cell,
                          const Axes& axes, int iters) {
   DispatchEntry best;
@@ -204,8 +205,7 @@ int main(int argc, char** argv) {
     for (const DispatchEntry& fresh : winners) {
       const DispatchEntry* checked_in =
           table.lookup(fresh.max_bytes, fresh.cell_payload);
-      if (checked_in == nullptr || checked_in->max_bytes != fresh.max_bytes ||
-          checked_in->cell_payload != fresh.cell_payload) {
+      if (checked_in == nullptr) {
         std::fprintf(stderr, "FAIL: class %s @ cell %s missing from %s\n",
                      human_size(fresh.max_bytes).c_str(),
                      human_size(fresh.cell_payload).c_str(),

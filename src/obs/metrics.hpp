@@ -123,7 +123,7 @@ class Histogram {
   /// Upper bound of the bucket holding the q-quantile sample (q in
   /// [0, 1]): a conservative estimate with at most 2x overshoot, which is
   /// what a log2 histogram can promise. 0 on an empty histogram. p50 =
-  /// quantile(0.5), p99 = quantile(0.99) — what the tune controller reads.
+  /// quantile(0.5), p99 = quantile(0.99).
   [[nodiscard]] double quantile(double q) const noexcept;
   void reset() noexcept;
 

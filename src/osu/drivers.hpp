@@ -47,8 +47,8 @@ struct SweepParams {
   /// the knobs bench/autotune sweeps alongside the Fig 9 axes.
   std::size_t rendezvous_quantum = 0;
   std::size_t rendezvous_inflight = 0;
-  /// Self-tuning options forwarded to the UniverseConfig (kAuto = follow
-  /// the CMPI_TUNE environment, as everywhere else).
+  /// Tuning options forwarded to the UniverseConfig (kAuto = follow
+  /// CMPI_TUNE and CMPI_TUNE_TABLE, as everywhere else).
   tune::TuneOptions tune{};
 };
 

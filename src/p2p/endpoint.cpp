@@ -59,36 +59,30 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
       drain_pending_(static_cast<std::size_t>(ctx.nranks()), 0),
       publish_dirty_(static_cast<std::size_t>(ctx.nranks()), 0),
       stats_(std::make_unique<CommStats>()) {
-  const std::size_t configured = ctx.config().rendezvous_threshold;
-  rdvz_threshold_ = configured == 0 ? matrix_.cell_payload() : configured;
-  // Resolve every tunable knob into the policy defaults. With tuning off
-  // the static policy hands these back unchanged from every settings()
-  // call — the data path is bit-identical to reading the constants.
-  tune::KnobSettings defaults;
-  defaults.rendezvous_threshold = rdvz_threshold_;
-  defaults.pipeline_quantum = ctx.config().rendezvous_quantum == 0
-                                  ? kRendezvousSegmentBytes
-                                  : ctx.config().rendezvous_quantum;
-  defaults.inflight_depth = ctx.config().rendezvous_inflight == 0
-                                ? kMaxRendezvousInflight
-                                : ctx.config().rendezvous_inflight;
-  if (tune::tuning_enabled(ctx.config().tune)) {
-    policy_ = tune::Policy::make_adaptive(ctx.nranks(), defaults);
-    table_ = tune::shared_table(ctx.config().tune);
-    tune::ControllerConfig tuner;
-    tuner.period_ns = ctx.config().tune.period_ns;
-    // Below one cell payload the eager path is a single enqueue and
-    // rendezvous can only lose; keep the threshold floor there. The
-    // quantum floor tracks the cell payload too so a tuned-down segment
-    // still fills whole bulk pieces.
-    tuner.min_threshold = std::max(tuner.min_threshold,
-                                   matrix_.cell_payload());
-    tuner.min_quantum = std::max(tuner.min_quantum, matrix_.cell_payload());
-    tuner.cell_payload = matrix_.cell_payload();
-    tuner.seed = tune::resolve_seed(ctx.config().tune, ctx.rank());
-    controller_ = std::make_unique<tune::Controller>(tuner, table_.get());
-  } else {
-    policy_ = tune::Policy::make_static(ctx.nranks(), defaults);
+  const runtime::UniverseConfig& cfg = ctx.config();
+  const std::size_t cell = matrix_.cell_payload();
+  if (tune::tuning_enabled(cfg.tune)) {
+    if (const auto table = tune::shared_table(cfg.tune)) {
+      for (const tune::DispatchEntry& row : table->entries()) {
+        if (row.cell_payload == cell) {
+          knob_rows_.push_back(row);
+        }
+      }
+    }
+  }
+  if (knob_rows_.empty()) {
+    tune::DispatchEntry row;
+    row.max_bytes = ~std::size_t{0};
+    row.cell_payload = cell;
+    row.rendezvous_threshold =
+        cfg.rendezvous_threshold == 0 ? cell : cfg.rendezvous_threshold;
+    row.pipeline_quantum = cfg.rendezvous_quantum == 0
+                               ? kRendezvousSegmentBytes
+                               : cfg.rendezvous_quantum;
+    row.inflight_depth = cfg.rendezvous_inflight == 0
+                             ? kMaxRendezvousInflight
+                             : cfg.rendezvous_inflight;
+    knob_rows_.push_back(row);
   }
   for (int r = 0; r < ctx.nranks(); ++r) {
     if (r == ctx.rank()) {
@@ -300,7 +294,7 @@ RequestPtr Endpoint::isend(int dst, int tag,
   request->send_data = data;
   request->rendezvous =
       !is_internal_tag(tag) &&
-      data.size() > policy_.settings(dst).rendezvous_threshold;
+      data.size() > knobs(data.size()).rendezvous_threshold;
   request->seq = send_seq_[static_cast<std::size_t>(dst)]++;
   if (!is_internal_tag(tag)) {
     ++stats_->messages_sent;
@@ -329,7 +323,7 @@ RequestPtr Endpoint::issend(int dst, int tag,
   request->tag = tag;
   request->send_data = data;
   request->rendezvous =
-      data.size() > policy_.settings(dst).rendezvous_threshold;
+      data.size() > knobs(data.size()).rendezvous_threshold;
   request->seq = send_seq_[static_cast<std::size_t>(dst)]++;
   ++stats_->messages_sent;
   stats_->bytes_sent += data.size();
@@ -354,7 +348,6 @@ void Endpoint::push_sends(int dst) {
   auto& pending = send_queues_[static_cast<std::size_t>(dst)];
   queue::SpscRing& ring = matrix_.ring(ctx_->acc(), dst, rank());
   const std::size_t cell = matrix_.cell_payload();
-  tune::DestSignals& signals = policy_.signals(dst);
   // Bytes staged-but-unpublished by THIS call (the cell-count threshold
   // reads ring.staged_pending() directly).
   std::size_t batch_bytes = 0;
@@ -401,7 +394,6 @@ void Endpoint::push_sends(int dst) {
             ring.try_stage(ctx_->acc(), header, payload,
                            /*prehashed=*/!req.chunk_crcs.empty());
         if (!enqueued) {
-          ++signals.ring_full;
           break;
         }
         made_progress = true;
@@ -438,8 +430,6 @@ void Endpoint::push_sends(int dst) {
         // traffic and retransmissions excluded, mirroring messages_sent).
         ++stats_->eager_messages;
         stats_->eager_bytes += total;
-        ++signals.eager_messages;
-        signals.eager_bytes += total;
       }
     }
     if (req.synchronous) {
@@ -505,12 +495,10 @@ void Endpoint::note_publish(int dst, bool edge) {
 Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
                                              Request& req) {
   const std::size_t total = req.send_data.size();
-  const tune::KnobSettings& knobs = policy_.settings(dst);
-  tune::DestSignals& signals = policy_.signals(dst);
+  const tune::DispatchEntry& row = knobs(total);
   auto& inflight = rdvz_inflight_[static_cast<std::size_t>(dst)];
   if (!req.rdvz_slot.has_value()) {
-    if (inflight.size() >= knobs.inflight_depth) {
-      ++signals.inflight_blocked;
+    if (inflight.size() >= row.inflight_depth) {
       return RdvzPush::kBlocked;  // wait for the receiver's FINs
     }
     Result<arena::ObjectHandle> slot = acquire_rdvz_slot(dst, total);
@@ -533,17 +521,13 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
   // per-cell overlap), large enough that the per-segment RTS/fence cost
   // stays amortized on multi-MiB messages. Only the sender chooses — the
   // receiver follows whatever bounds each RTS descriptor carries. The cap
-  // is the per-destination pipeline quantum (default
-  // kRendezvousSegmentBytes); floored at piece_max so a tuned-down
-  // quantum still covers one bulk piece. Latched per message: the knob
-  // moving between resumed announcement attempts must not shift the
-  // segment boundaries the staged CRC was computed over.
-  if (req.rdvz_quantum == 0) {
-    req.rdvz_quantum =
-        std::clamp((total / 8 + piece_max - 1) / piece_max * piece_max,
-                   piece_max, std::max(piece_max, knobs.pipeline_quantum));
-  }
-  const std::size_t seg_quantum = req.rdvz_quantum;
+  // is the message's pipeline quantum (default kRendezvousSegmentBytes);
+  // floored at piece_max so a small quantum still covers one bulk piece.
+  // A pure function of the message size, so every resumed announcement
+  // attempt cuts the same segments the staged CRC was computed over.
+  const std::size_t seg_quantum =
+      std::clamp((total / 8 + piece_max - 1) / piece_max * piece_max,
+                 piece_max, std::max(piece_max, row.pipeline_quantum));
   bool enqueued_any = false;
   while (req.bytes_pushed < total) {
     const std::size_t seg_begin = req.bytes_pushed;
@@ -570,7 +554,6 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
       acc.fault_sync_point("p2p-rdvz-slab-written");
     }
     if (!ring.can_enqueue(acc)) {
-      ++signals.ring_full;
       break;  // the written segment is announced on a later attempt
     }
     RdvzDescriptor desc;
@@ -620,8 +603,6 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
   req.rdvz_slot.reset();
   ++stats_->rendezvous_sent;
   stats_->rendezvous_bytes += total;
-  ++signals.rdvz_messages;
-  signals.rdvz_bytes += total;
   return RdvzPush::kStaged;
 }
 
@@ -1405,16 +1386,6 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
 // ---------- Progress / completion ----------
 
 void Endpoint::progress() {
-  if (controller_ != nullptr) {
-    const simtime::Ns now = ctx_->clock().now();
-    if (controller_->due(now)) {
-      controller_->poll(
-          now, policy_,
-          tune::gather_global_signals(
-              ctx_->recovery_counters().retransmits.load(
-                  std::memory_order_relaxed)));
-    }
-  }
   ++progress_calls_;
   // Periodic full scan: the doorbell hint is an unfenced fire-and-forget
   // store, so its staleness must be bounded by something fenced — this

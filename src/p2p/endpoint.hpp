@@ -58,11 +58,12 @@
 // doorbell hint.
 //
 // Large-message fast path (one-copy rendezvous): a message larger than
-// the configured threshold (UniverseConfig::rendezvous_threshold; default
-// one cell payload) skips cell chunking entirely. The sender parks the
-// payload in a per-message arena slab and announces it through the ring
-// with small RTS descriptor cells (kRendezvous flag), one per
-// kRendezvousSegmentBytes segment so the receiver pulls segment k while
+// its threshold (UniverseConfig::rendezvous_threshold, default one cell
+// payload, or the message's dispatch-table row: see knobs()) skips cell
+// chunking entirely. The sender parks the payload in a per-message arena
+// slab and announces it through the ring with small RTS descriptor cells
+// (kRendezvous flag), one per pipeline-quantum segment (default
+// kRendezvousSegmentBytes) so the receiver pulls segment k while
 // the sender writes k+1. The receiver reads each segment straight from
 // the pool into the user buffer — one copy end to end instead of the
 // eager path's copy-in/copy-out — and FINishes the message with a control
@@ -92,8 +93,7 @@
 #include "p2p/tag_match.hpp"
 #include "queue/queue_matrix.hpp"
 #include "runtime/universe.hpp"
-#include "tune/controller.hpp"
-#include "tune/policy.hpp"
+#include "tune/dispatch_table.hpp"
 
 namespace cmpi::p2p {
 
@@ -207,11 +207,6 @@ class Request {
   std::optional<arena::ObjectHandle> rdvz_slot;  // slab while announcing
   std::size_t rdvz_written = 0;      // slab bytes already written
   std::uint32_t rdvz_seg_crc = 0;    // CRC of the written-but-unannounced seg
-  /// Segment quantum latched at the first announcement attempt: a tuner
-  /// moving the pipeline-quantum knob between attempts must not shift the
-  /// segment boundaries of a half-announced message (the staged CRC is
-  /// per-segment).
-  std::size_t rdvz_quantum = 0;
   // recv fields
   std::span<std::byte> recv_buffer{};
   bool matched = false;
@@ -385,20 +380,16 @@ class Endpoint {
   };
   [[nodiscard]] std::vector<DebugRdvzSlot> debug_rendezvous_inflight(
       int dst) const;
-  /// Effective eager/rendezvous switchover in bytes (resolved from the
-  /// UniverseConfig at construction).
-  [[nodiscard]] std::size_t rendezvous_threshold() const noexcept {
-    return rdvz_threshold_;
-  }
-  /// Live knob settings toward `dst`. Static mode (tuning off) returns the
-  /// construction-time defaults for every destination.
-  [[nodiscard]] const tune::KnobSettings& knobs(int dst) const noexcept {
-    return policy_.settings(dst);
-  }
-  /// The periodic knob controller, or null when tuning is off. Exposes the
-  /// decision journal to tests and benches.
-  [[nodiscard]] const tune::Controller* tune_controller() const noexcept {
-    return controller_.get();
+  /// The knob row a message of `bytes` is sent with: the first row whose
+  /// class covers it, else the last row (see knob_rows_).
+  [[nodiscard]] const tune::DispatchEntry& knobs(
+      std::size_t bytes) const noexcept {
+    for (const tune::DispatchEntry& row : knob_rows_) {
+      if (bytes <= row.max_bytes) {
+        return row;
+      }
+    }
+    return knob_rows_.back();
   }
 
   /// What scavenge_peer reclaimed from this endpoint's view of a corpse.
@@ -594,19 +585,12 @@ class Endpoint {
   /// recycled-slot cache.
   std::vector<std::deque<RdvzInflight>> rdvz_inflight_;
   std::vector<std::deque<arena::ObjectHandle>> rdvz_slot_cache_;
-  std::size_t rdvz_threshold_ = 0;   // resolved switchover (bytes)
-  /// Knob routing (tune subsystem): every tunable constant above reaches
-  /// the hot paths through policy_. Static mode hands back the
-  /// construction-time defaults for every destination — bit-identical to
-  /// reading the constants — while adaptive mode gives the controller a
-  /// per-destination copy to steer.
-  tune::Policy policy_;
-  /// Periodic AIMD controller; null unless tuning is enabled, so the off
-  /// path costs exactly one pointer test per progress() call.
-  std::unique_ptr<tune::Controller> controller_;
-  /// Warm-start dispatch table, shared across endpoints reading the same
-  /// file; owned here because the controller keeps a raw pointer to it.
-  std::shared_ptr<const tune::DispatchTable> table_;
+  /// Rendezvous threshold, pipeline quantum and inflight depth by size
+  /// class, ascending max_bytes, fixed at construction. With tuning on and
+  /// a dispatch table loaded: the table's rows for this universe's cell
+  /// payload. Otherwise (or when the table has no such row): one row
+  /// covering every size, holding the UniverseConfig knobs.
+  std::vector<tune::DispatchEntry> knob_rows_;
   std::uint64_t rdvz_name_counter_ = 0;  // unique slab names
   /// Messages awaiting retransmission, keyed (source, msg_seq).
   std::map<std::pair<int, std::uint32_t>, RetryState> retry_;

@@ -17,7 +17,8 @@ struct UniverseConfig;
 ///     costs more than the copy it saves). SIZE_MAX = rendezvous off.
 ///   * rendezvous_quantum: 0 (default), or in [4 KiB, 16 MiB].
 ///   * rendezvous_inflight: 0 (default), or in [1, 64].
-///   * tune.period_ns: > 0 and finite.
+/// The numbers live in tune/options.hpp, which DispatchTable::load applies
+/// to every table row as well.
 [[nodiscard]] Status validate(const UniverseConfig& config);
 
 }  // namespace cmpi::runtime

@@ -86,10 +86,10 @@ struct UniverseConfig {
   /// destination. 0 selects the default
   /// (p2p::Endpoint::kMaxRendezvousInflight, 8); nonzero must be <= 64.
   std::size_t rendezvous_inflight = 0;
-  /// Telemetry-driven self-tuning (see src/tune): off by default
-  /// (Tuning::kAuto follows CMPI_TUNE). When the controller is on, the
-  /// three knobs above become per-destination starting points instead of
-  /// fixed values.
+  /// Table-driven tuning (see src/tune): off by default (Tuning::kAuto
+  /// follows CMPI_TUNE). When it is on and a dispatch table loads, the
+  /// table's rows for this cell payload replace the three knobs above,
+  /// one row per message-size class; without such rows the knobs apply.
   tune::TuneOptions tune{};
   /// §3.5's rejected alternative to software coherence: mark the whole
   /// pool uncachable via MTRR. Correct but drastically slower past the

@@ -1,11 +1,14 @@
 #include "tune/dispatch_table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "tune/options.hpp"
 
 namespace cmpi::tune {
 
@@ -18,34 +21,13 @@ DispatchTable::DispatchTable(std::vector<DispatchEntry> entries)
 }
 
 const DispatchEntry* DispatchTable::lookup(
-    std::size_t bytes, std::size_t cell_payload) const noexcept {
-  if (entries_.empty()) {
-    return nullptr;
-  }
-  const DispatchEntry* covering = nullptr;       // smallest class, matching cell
-  const DispatchEntry* covering_any = nullptr;   // smallest class, any cell
-  const DispatchEntry* largest_match = nullptr;  // catch-all, matching cell
-  for (const DispatchEntry& e : entries_) {  // ascending by max_bytes
-    const bool cell_ok = cell_payload == 0 || e.cell_payload == cell_payload;
-    if (cell_ok) {
-      largest_match = &e;
-    }
-    if (bytes <= e.max_bytes) {
-      if (cell_ok && covering == nullptr) {
-        covering = &e;
-      }
-      if (covering_any == nullptr) {
-        covering_any = &e;
-      }
+    std::size_t max_bytes, std::size_t cell_payload) const noexcept {
+  for (const DispatchEntry& e : entries_) {
+    if (e.max_bytes == max_bytes && e.cell_payload == cell_payload) {
+      return &e;
     }
   }
-  if (covering != nullptr) {
-    return covering;
-  }
-  if (largest_match != nullptr) {
-    return largest_match;  // bytes beyond every matching class
-  }
-  return covering_any != nullptr ? covering_any : &entries_.back();
+  return nullptr;
 }
 
 namespace {
@@ -113,6 +95,51 @@ struct Scanner {
   }
 };
 
+/// The integral fields a class object must carry besides max_bytes.
+struct RowField {
+  const char* name;
+  std::size_t DispatchEntry::*field;
+};
+constexpr std::array<RowField, 4> kRowFields{{
+    {"cell_payload", &DispatchEntry::cell_payload},
+    {"rendezvous_threshold", &DispatchEntry::rendezvous_threshold},
+    {"pipeline_quantum", &DispatchEntry::pipeline_quantum},
+    {"inflight_depth", &DispatchEntry::inflight_depth},
+}};
+
+struct ParsedRow {
+  DispatchEntry entry;
+  unsigned seen = 0;  // bit f set: kRowFields[f] was present
+};
+
+/// Why a row cannot drive sends, or empty when it can. A missing field
+/// would read as 0: an inflight depth of 0 blocks every rendezvous send
+/// and a threshold of 0 sends every non-empty message by rendezvous.
+std::string row_defect(const ParsedRow& row) {
+  for (std::size_t f = 0; f < kRowFields.size(); ++f) {
+    if ((row.seen & (1u << f)) == 0) {
+      return std::string(kRowFields[f].name) + " missing";
+    }
+  }
+  const DispatchEntry& e = row.entry;
+  if (e.rendezvous_threshold != ~std::size_t{0} &&
+      e.rendezvous_threshold < kRendezvousThresholdMin) {
+    return "rendezvous_threshold " + std::to_string(e.rendezvous_threshold) +
+           " below " + std::to_string(kRendezvousThresholdMin);
+  }
+  if (e.pipeline_quantum < kRendezvousQuantumMin ||
+      e.pipeline_quantum > kRendezvousQuantumMax) {
+    return "pipeline_quantum " + std::to_string(e.pipeline_quantum) +
+           " outside [" + std::to_string(kRendezvousQuantumMin) + ", " +
+           std::to_string(kRendezvousQuantumMax) + "]";
+  }
+  if (e.inflight_depth == 0 || e.inflight_depth > kRendezvousInflightMax) {
+    return "inflight_depth " + std::to_string(e.inflight_depth) +
+           " outside [1, " + std::to_string(kRendezvousInflightMax) + "]";
+  }
+  return {};
+}
+
 }  // namespace
 
 Result<DispatchTable> DispatchTable::load(const std::string& path) {
@@ -120,22 +147,13 @@ Result<DispatchTable> DispatchTable::load(const std::string& path) {
   if (!in) {
     return status::invalid_argument("dispatch table: cannot open " + path);
   }
-  std::vector<DispatchEntry> entries;
+  std::vector<ParsedRow> rows;
   std::vector<std::pair<std::string, std::string>> provenance;
   Scanner scan{in};
   std::string key;
   std::string value;
   bool is_string = false;
   enum class Section { kNone, kProvenance, kClasses } section = Section::kNone;
-  DispatchEntry current;
-  bool current_open = false;
-  const auto flush = [&] {
-    if (current_open) {
-      entries.push_back(current);
-      current = DispatchEntry{};
-      current_open = false;
-    }
-  };
   // Integral fields must round-trip exactly: SIZE_MAX (an "always eager"
   // threshold) overflows a double, so take the strtoull path unless the
   // literal really is floating-point.
@@ -162,24 +180,38 @@ Result<DispatchTable> DispatchTable::load(const std::string& path) {
       continue;
     }
     if (key == "max_bytes") {
-      flush();  // max_bytes leads every class object
-      current_open = true;
-      current.max_bytes = as_size(value);
-    } else if (key == "cell_payload") {
-      current.cell_payload = as_size(value);
-    } else if (key == "rendezvous_threshold") {
-      current.rendezvous_threshold = as_size(value);
-    } else if (key == "pipeline_quantum") {
-      current.pipeline_quantum = as_size(value);
-    } else if (key == "inflight_depth") {
-      current.inflight_depth = as_size(value);
-    } else if (key == "mbps") {
-      current.mbps = std::atof(value.c_str());
+      rows.emplace_back();  // max_bytes leads every class object
+      rows.back().entry.max_bytes = as_size(value);
+      continue;
+    }
+    if (rows.empty()) {
+      continue;
+    }
+    ParsedRow& row = rows.back();
+    if (key == "mbps") {
+      row.entry.mbps = std::atof(value.c_str());
+      continue;
+    }
+    for (std::size_t f = 0; f < kRowFields.size(); ++f) {
+      if (key == kRowFields[f].name) {
+        row.entry.*kRowFields[f].field = as_size(value);
+        row.seen |= 1u << f;
+      }
     }
   }
-  flush();
-  if (entries.empty()) {
+  if (rows.empty()) {
     return status::invalid_argument("dispatch table: no classes in " + path);
+  }
+  std::vector<DispatchEntry> entries;
+  for (const ParsedRow& row : rows) {
+    const std::string defect = row_defect(row);
+    if (!defect.empty()) {
+      return status::invalid_argument(
+          "dispatch table " + path + ": class " +
+          std::to_string(row.entry.max_bytes) + " @ cell " +
+          std::to_string(row.entry.cell_payload) + ": " + defect);
+    }
+    entries.push_back(row.entry);
   }
   DispatchTable table(std::move(entries));
   table.set_provenance(std::move(provenance));

@@ -1,13 +1,13 @@
 // Per-size-class dispatch table: the offline autotuner's product and the
-// runtime controller's warm-start prior.
+// source of the p2p knobs when tuning is on.
 //
 // bench/autotune sweeps the Fig 9 axes (cell size x rendezvous threshold
 // x procs, plus a pipeline-quantum mini-sweep) on the simulator and
-// writes the winning policy per message-size class to
+// writes the winning knobs per message-size class to
 // bench/baselines/dispatch_table.json, with provenance metadata (axes,
-// resolution) so the artifact records how it was produced. The
-// controller looks its observed per-destination traffic profile up here
-// before falling back to pure AIMD adjustment.
+// resolution) so the artifact records how it was produced. A
+// p2p::Endpoint with tuning on takes the rows for its own cell payload
+// at construction and sends each message with the row covering its size.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,7 @@
 
 namespace cmpi::tune {
 
-/// Winning policy for messages of size <= max_bytes (classes are
+/// Winning knobs for messages of size <= max_bytes (classes are
 /// half-open, sorted ascending; the last class catches everything). The
 /// table holds one entry per (size class x cell payload): the winning
 /// protocol flips with the cell size (small cells tax the eager path's
@@ -29,9 +29,9 @@ namespace cmpi::tune {
 /// built with a different ring geometry than the probe's.
 struct DispatchEntry {
   std::size_t max_bytes = 0;
-  /// Build-time knob: the cell payload this row was measured with. The
-  /// runtime controller cannot change it (the ring matrix is laid out at
-  /// Universe creation) — it selects the row matching its own geometry.
+  /// The cell payload this row was measured with. It is fixed when the
+  /// Universe lays out its ring matrix, so an endpoint uses only the rows
+  /// matching its own geometry.
   std::size_t cell_payload = 0;
   std::size_t rendezvous_threshold = 0;
   std::size_t pipeline_quantum = 0;
@@ -49,15 +49,16 @@ class DispatchTable {
   explicit DispatchTable(std::vector<DispatchEntry> entries);
 
   /// Parse a dispatch_table.json written by save(). Tolerates unknown
-  /// keys; kInvalidArgument on anything structurally unusable.
+  /// keys; kInvalidArgument on anything structurally unusable, and on a
+  /// row that lacks cell_payload or a knob field or whose knobs fall
+  /// outside the bounds in tune/options.hpp (inflight depth 0 included),
+  /// naming the row's class and cell.
   static Result<DispatchTable> load(const std::string& path);
 
-  /// The class covering `bytes` (first entry with max_bytes >= bytes,
-  /// else the last entry); nullptr on an empty table. When `cell_payload`
-  /// is non-zero, rows measured with that cell payload are preferred and
-  /// other rows are used only when no matching row covers `bytes`.
+  /// The row for exactly this (size class, cell payload); nullptr when
+  /// the table has none.
   [[nodiscard]] const DispatchEntry* lookup(
-      std::size_t bytes, std::size_t cell_payload = 0) const noexcept;
+      std::size_t max_bytes, std::size_t cell_payload) const noexcept;
 
   [[nodiscard]] const std::vector<DispatchEntry>& entries() const noexcept {
     return entries_;

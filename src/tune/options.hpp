@@ -1,40 +1,43 @@
-// Self-tuning configuration carried by runtime::UniverseConfig.
+// Tuning configuration carried by runtime::UniverseConfig, and the bounds
+// every source of the p2p rendezvous knobs must meet.
 //
 // Deliberately dependency-free (std only): runtime/universe.hpp embeds a
-// TuneOptions value, and the heavier tune machinery (Policy, Controller,
-// DispatchTable) must stay out of that include graph.
+// TuneOptions value, and the dispatch-table machinery must stay out of
+// that include graph.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace cmpi::tune {
 
-/// Tri-state enable for the runtime controller, mirroring
+/// Tri-state enable for table-driven knobs, mirroring
 /// runtime::CoherenceChecking: tests force it on/off in code, everything
 /// else follows the environment.
 enum class Tuning {
   kAuto,      ///< follow the CMPI_TUNE environment variable (off unset)
-  kEnabled,   ///< always run the per-rank controller
-  kDisabled,  ///< never run it, even if the environment asks
+  kEnabled,   ///< take the knobs from the dispatch table when one loads
+  kDisabled,  ///< keep the UniverseConfig knobs, even if the environment
+              ///< asks for the table
 };
 
 struct TuneOptions {
   Tuning mode = Tuning::kAuto;
-  /// Virtual-time controller poll period (nanoseconds). Each rank's
-  /// endpoint re-evaluates its per-destination knobs at most this often
-  /// from the progress path.
-  double period_ns = 200'000;  // 200 us virtual
-  /// Warm-start dispatch table (bench/autotune output). Empty = follow
-  /// CMPI_TUNE_TABLE; unset there too = no prior (AIMD rules only).
+  /// Dispatch table (bench/autotune output) the endpoint takes its knob
+  /// rows from. Empty = follow CMPI_TUNE_TABLE; unset there too = no
+  /// table, so the UniverseConfig knobs apply.
   std::string table_path;
-  /// Seed for the controller's exploration jitter. 0 = derive from
-  /// CMPI_FAULT_SEED (so the CI fault matrix perturbs exploration the
-  /// same way it perturbs kill schedules), falling back to a fixed
-  /// default. The per-rank controller mixes its rank in, so ranks
-  /// explore independently but reproducibly.
-  std::uint64_t seed = 0;
 };
+
+/// Bounds on the three rendezvous knobs. runtime::validate applies them to
+/// UniverseConfig's rendezvous_* fields and DispatchTable::load to every
+/// table row, so a knob meets the same bounds whichever source sets it.
+/// A threshold below the floor sends sub-cell messages through slab
+/// bookkeeping that costs more than the copy it saves; SIZE_MAX
+/// (rendezvous off) is always allowed.
+inline constexpr std::size_t kRendezvousThresholdMin = 512;
+inline constexpr std::size_t kRendezvousQuantumMin = std::size_t{4} << 10;
+inline constexpr std::size_t kRendezvousQuantumMax = std::size_t{16} << 20;
+inline constexpr std::size_t kRendezvousInflightMax = 64;
 
 }  // namespace cmpi::tune

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <string>
 
-#include "common/hash.hpp"
 #include "common/log.hpp"
 
 namespace cmpi::tune {
@@ -46,24 +45,11 @@ std::shared_ptr<const DispatchTable> shared_table(
   if (loaded.is_ok()) {
     table = std::make_shared<const DispatchTable>(std::move(loaded).value());
   } else {
-    log_warn("tune: dispatch table unusable, running without prior: %s",
+    log_warn("tune: dispatch table unusable, keeping the config knobs: %s",
              loaded.status().message().c_str());
   }
   cache.emplace(path, table);  // negative results cached too: warn once
   return table;
-}
-
-std::uint64_t resolve_seed(const TuneOptions& options, int rank) {
-  std::uint64_t base = options.seed;
-  if (base == 0) {
-    if (const char* env = std::getenv("CMPI_FAULT_SEED")) {
-      base = static_cast<std::uint64_t>(std::atoll(env));
-    }
-  }
-  if (base == 0) {
-    base = 0x9e3779b97f4a7c15ULL;  // fixed default: still deterministic
-  }
-  return mix64(base ^ (static_cast<std::uint64_t>(rank) + 1) * 0x100000001b3ULL);
 }
 
 }  // namespace cmpi::tune

@@ -1,10 +1,9 @@
-// Environment/UniverseConfig resolution for the tuning subsystem: is the
-// controller on, which dispatch table warms it up, which seed drives its
-// exploration. Kept apart from Policy/Controller so those stay pure and
-// unit-testable (no getenv inside either).
+// Environment/UniverseConfig resolution for table-driven tuning: is it
+// on, and which dispatch table supplies the knobs. Kept apart from
+// DispatchTable so the table stays pure and unit-testable (no getenv in
+// it).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "tune/dispatch_table.hpp"
@@ -16,17 +15,12 @@ namespace cmpi::tune {
 /// outright.
 [[nodiscard]] bool tuning_enabled(const TuneOptions& options);
 
-/// The warm-start dispatch table for these options: options.table_path,
-/// else CMPI_TUNE_TABLE, else none (nullptr). Tables are loaded once per
-/// path and shared process-wide (every rank endpoint asks). A missing or
-/// malformed file logs a warning once and returns nullptr — tuning
-/// degrades to pure AIMD, it never fails the run.
+/// The dispatch table for these options: options.table_path, else
+/// CMPI_TUNE_TABLE, else none (nullptr). Tables are loaded once per path
+/// and shared process-wide (every rank endpoint asks). A missing or
+/// malformed file logs a warning once and returns nullptr — the endpoint
+/// keeps the UniverseConfig knobs, it never fails the run.
 [[nodiscard]] std::shared_ptr<const DispatchTable> shared_table(
     const TuneOptions& options);
-
-/// Exploration seed: options.seed, else CMPI_FAULT_SEED, else a fixed
-/// default — mixed with the rank so each controller's stream is distinct
-/// but reproducible.
-[[nodiscard]] std::uint64_t resolve_seed(const TuneOptions& options, int rank);
 
 }  // namespace cmpi::tune

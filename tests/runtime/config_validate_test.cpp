@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -76,20 +75,6 @@ TEST(ConfigValidate, InflightAboveCapNamesTheField) {
   EXPECT_NE(status.message().find("rendezvous_inflight"), std::string::npos);
   cfg.rendezvous_inflight = 64;
   EXPECT_TRUE(validate(cfg).is_ok());
-}
-
-TEST(ConfigValidate, NonPositiveTunePeriodNamesTheField) {
-  UniverseConfig cfg = valid_config();
-  cfg.tune.period_ns = 0;
-  Status status = validate(cfg);
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("tune.period_ns"), std::string::npos);
-
-  cfg.tune.period_ns = -5.0;
-  EXPECT_FALSE(validate(cfg).is_ok());
-  cfg.tune.period_ns = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(validate(cfg).is_ok());
 }
 
 TEST(ConfigValidate, UniverseConstructorThrowsWithTheValidationMessage) {
