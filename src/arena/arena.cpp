@@ -561,11 +561,15 @@ std::uint64_t Arena::free_bytes() {
   return total;
 }
 
-Arena::ScavengeStats Arena::scavenge_locked(std::size_t dead_participant,
-                                            std::uint64_t dead_incarnation) {
+Arena::ScavengeStats Arena::scavenge_locked(
+    std::size_t dead_participant, std::uint64_t dead_incarnation,
+    const std::function<void()>& beat) {
   ScavengeStats stats;
   const std::uint64_t dead = static_cast<std::uint64_t>(dead_participant);
   for (std::size_t i = 0; i < index_.total_slots(); ++i) {
+    if (beat && i % kScavengeBeatSlots == 0) {
+      beat();
+    }
     Slot slot = read_slot(i);
     if (slot.status != kSlotUsed || slot.owner_rank != dead ||
         slot.owner_incarnation > dead_incarnation) {

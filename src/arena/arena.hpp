@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -69,7 +70,8 @@ class Arena {
   struct Params {
     std::size_t levels = 10;
     std::size_t level1_buckets = 1009;  ///< paper production value: 200,000
-    std::size_t max_participants = 64;  ///< bakery lock width
+    /// Bakery lock width. runtime::Universe overrides it with nranks.
+    std::size_t max_participants = 64;
   };
 
   /// Format a fresh arena occupying [base, base + size) of the pool and
@@ -161,9 +163,14 @@ class Arena {
   /// incarnation <= `dead_incarnation` (a respawned rank's newer objects
   /// are left alone). Full slot-table walk; the CALLER must hold the
   /// arena lock — PoolRecovery wraps this together with its exactly-once
-  /// ledger update in one critical section.
+  /// ledger update in one critical section. `beat`, when non-empty, runs
+  /// every kScavengeBeatSlots slots: the walk reads thousands of slots
+  /// while peers wait on the lock and judge the holder by its heartbeat
+  /// (pass FailureDetector::beat, which is throttled).
   ScavengeStats scavenge_locked(std::size_t dead_participant,
-                                std::uint64_t dead_incarnation);
+                                std::uint64_t dead_incarnation,
+                                const std::function<void()>& beat = {});
+  static constexpr std::size_t kScavengeBeatSlots = 64;
 
   /// Bytes of metadata overhead for a given Params and arena size
   /// (everything before shm_objects).

@@ -532,7 +532,8 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
   while (req.bytes_pushed < total) {
     const std::size_t seg_begin = req.bytes_pushed;
     const std::size_t seg = std::min(seg_quantum, total - seg_begin);
-    if (req.rdvz_written <= seg_begin) {
+    const bool written_now = req.rdvz_written <= seg_begin;
+    if (written_now) {
       // Write the segment into the slab in bounded sub-chunks, folding
       // the CRC in as the bytes stream past (host-side, charge-free). The
       // segment's RTS publish fences all of its pieces at once, so they
@@ -575,12 +576,19 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
                    (req.synchronous ? queue::kSyncSend : 0u);
     // The RTS publish covers the slab segment too: try_enqueue's sfence
     // drains the pending slab writes before the tail flag moves, so the
-    // receiver's slab reads causally follow a durable segment.
+    // receiver's slab reads causally follow a durable segment. One fence,
+    // one sweep: a descriptor written in the same pass as its segment
+    // shares the segment's sweep. One announced on a later attempt pays
+    // its own, since a fence may have intervened.
     acc.annotate_publish_range(slab + seg_begin, seg);
     const bool enqueued = ring.try_enqueue(
         acc, header,
-        {reinterpret_cast<const std::byte*>(&desc), sizeof(desc)});
+        {reinterpret_cast<const std::byte*>(&desc), sizeof(desc)},
+        written_now ? cxlsim::Accessor::BulkCharge::kBatched
+                    : cxlsim::Accessor::BulkCharge::kFull);
     CMPI_ASSERT(enqueued);  // can_enqueue held above
+    CMPI_OBS_COUNT("p2p.rdvz_rts", 1);
+    CMPI_OBS_COUNT("p2p.rdvz_rts_late", written_now ? 0 : 1);
     ++stats_->publish_batches;  // RTS cells publish per-cell by design:
     ++stats_->cells_published;  // segment pipelining needs each durable now
     note_publish(dst, ring.last_publish_edge());

@@ -97,8 +97,9 @@ bool SpscRing::can_enqueue(cxlsim::Accessor& acc) {
 }
 
 bool SpscRing::try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
-                           std::span<const std::byte> payload) {
-  if (!try_stage(acc, header, payload)) {
+                           std::span<const std::byte> payload,
+                           cxlsim::Accessor::BulkCharge charge) {
+  if (!try_stage(acc, header, payload, /*prehashed=*/false, charge)) {
     return false;
   }
   publish_staged(acc);
@@ -107,7 +108,7 @@ bool SpscRing::try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
 
 bool SpscRing::try_stage(cxlsim::Accessor& acc, const CellHeader& header,
                          std::span<const std::byte> payload,
-                         bool prehashed) {
+                         bool prehashed, cxlsim::Accessor::BulkCharge charge) {
   CMPI_EXPECTS(payload.size() <= cell_payload_);
   CMPI_EXPECTS(header.chunk_bytes == payload.size());
   if (!can_enqueue(acc)) {
@@ -119,7 +120,7 @@ bool SpscRing::try_stage(cxlsim::Accessor& acc, const CellHeader& header,
   // cells of a batch share the first one's flush sweep.
   if (!payload.empty()) {
     acc.bulk_write(cell + sizeof(CellHeader), payload,
-                   staged_.empty() ? cxlsim::Accessor::BulkCharge::kFull
+                   staged_.empty() ? charge
                                    : cxlsim::Accessor::BulkCharge::kBatched);
   }
   Staged staged;

@@ -126,8 +126,11 @@ class SpscRing {
   /// Enqueue one chunk. Returns false (and does nothing) if the ring is
   /// full. `payload.size()` must be <= cell_payload. Publishes any
   /// previously staged cells along with this one (FIFO order preserved).
+  /// `charge` is as for try_stage.
   bool try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
-                   std::span<const std::byte> payload);
+                   std::span<const std::byte> payload,
+                   cxlsim::Accessor::BulkCharge charge =
+                       cxlsim::Accessor::BulkCharge::kFull);
 
   // ---- Producer side: staged batches ----
   // The message-rate path amortizes the per-cell publish cost: stage K
@@ -143,9 +146,15 @@ class SpscRing {
   /// trusted as supplied instead of computing CRC32C over `payload` here:
   /// the p2p eager path computes the checksum while building its staging
   /// copy (one fused pass over the payload), so the ring does not traverse
-  /// the bytes a second time.
+  /// the bytes a second time. `charge` is the flush-sweep charge of a
+  /// batch's first payload write (later cells of the batch always share
+  /// it): pass kBatched when a bulk write of the caller's own, fenced by
+  /// the same publish, already paid the sweep — a rendezvous RTS rides
+  /// its slab segment's.
   bool try_stage(cxlsim::Accessor& acc, const CellHeader& header,
-                 std::span<const std::byte> payload, bool prehashed = false);
+                 std::span<const std::byte> payload, bool prehashed = false,
+                 cxlsim::Accessor::BulkCharge charge =
+                     cxlsim::Accessor::BulkCharge::kFull);
   /// Cells staged but not yet published.
   [[nodiscard]] std::size_t staged_pending() const noexcept {
     return staged_.size();

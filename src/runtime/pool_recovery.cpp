@@ -50,6 +50,7 @@ Result<PoolRecovery::ScavengeReport> PoolRecovery::scavenge(
   arena::Arena& arena = ctx.arena();
   arena::BakeryLock& lock = arena.shm_lock();
   FailureDetector& detector = ctx.failure_detector();
+  const auto beat = [&] { detector.beat(acc); };
   const auto dead_pred = [&](std::size_t participant) {
     // Universe arenas use rank ids as participant ids.
     return detector.dead(acc, static_cast<int>(participant)) ||
@@ -64,8 +65,7 @@ Result<PoolRecovery::ScavengeReport> PoolRecovery::scavenge(
       lock.participant_active(acc, static_cast<std::size_t>(dead_rank));
 
   if (Status locked =
-          lock.lock_for(acc, arena.participant(), timeout, dead_pred,
-                        [&] { detector.beat(acc); });
+          lock.lock_for(acc, arena.participant(), timeout, dead_pred, beat);
       !locked.is_ok()) {
     return locked;
   }
@@ -81,9 +81,10 @@ Result<PoolRecovery::ScavengeReport> PoolRecovery::scavenge(
     return report;
   }
 
-  const arena::Arena::ScavengeStats arena_stats =
-      arena.scavenge_locked(static_cast<std::size_t>(dead_rank),
-                            dead_incarnation);
+  // The walk beats as it goes: a survivor waiting on the lock convicts a
+  // holder whose heartbeat stalls for a lease.
+  const arena::Arena::ScavengeStats arena_stats = arena.scavenge_locked(
+      static_cast<std::size_t>(dead_rank), dead_incarnation, beat);
   report.arena_bytes_reclaimed = arena_stats.bytes;
   report.arena_slots_reclaimed = arena_stats.slots;
   report.rendezvous_slots_reclaimed = arena_stats.rendezvous_slots;

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -256,17 +258,18 @@ class RendezvousSweeps : public ::testing::Test {
     obs::configure(obs::Config{});
   }
 
-  static std::uint64_t sweeps() {
-    return obs::MetricsRegistry::instance().snapshot().counter(
-        "cxl.bulk_sweeps");
+  static std::uint64_t counter(const std::string& name) {
+    return obs::MetricsRegistry::instance().snapshot().counter(name);
   }
+  static std::uint64_t sweeps() { return counter("cxl.bulk_sweeps"); }
 };
 
 TEST_F(RendezvousSweeps, OnePerSegmentPerSide) {
   // 1 MiB at the default 16 KiB cells: eight 128 KiB segments of eight
-  // 16 KiB bulk pieces. A segment's pieces share one flush sweep on the
-  // sender (its RTS publish fences them together) and one invalidate
-  // sweep on the receiver, so each side pays eight sweep setups, not 64.
+  // 16 KiB bulk pieces. A segment's pieces and its RTS descriptor share
+  // one flush sweep on the sender (the RTS publish fences them together),
+  // and its pieces one invalidate sweep on the receiver, so each side
+  // pays eight sweep setups for the payload, not 64.
   constexpr std::uint64_t kSegments = 8;
   const auto data = pattern(1_MiB, 11);
   std::atomic<std::uint64_t> sender_sweeps{0};
@@ -293,11 +296,59 @@ TEST_F(RendezvousSweeps, OnePerSegmentPerSide) {
     }
     ctx.barrier();
   });
-  // Each RTS cell publishes alone and pays its own sweep.
-  EXPECT_EQ(sender_sweeps.load(), kSegments + kSegments);
+  // Each RTS descriptor is written in the same pass as its segment and
+  // its publish fences both, so it rides the segment's sweep.
+  EXPECT_EQ(sender_sweeps.load(), kSegments);
   // The FIN cell pays one; the RTS descriptors arrive in the fused header
   // read and need no bulk read.
   EXPECT_EQ(receiver_sweeps.load(), kSegments + 1);
+}
+
+TEST_F(RendezvousSweeps, LaterAttemptRtsPaysItsOwnSweep) {
+  // A 2-cell ring cannot hold the eight RTS descriptors of a 1 MiB
+  // message. The isend writes segments 0-2, announces 0 and 1, and leaves
+  // segment 2 for a later attempt once the receiver drains; so may go any
+  // later segment that finds the ring full. A descriptor announced on a
+  // later attempt pays its own sweep (a fence may have come between it and
+  // its segment), the rest ride their segment's.
+  constexpr std::uint64_t kSegments = 8;
+  const auto data = pattern(1_MiB, 12);
+  std::atomic<std::uint64_t> sender_sweeps{0};
+  std::atomic<std::uint64_t> late_rts{0};
+  std::atomic<bool> announced{false};
+  runtime::Universe universe(rdvz_config(16_KiB, /*ring_cells=*/2));
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      const std::uint64_t before = sweeps();
+      const RequestPtr req = ep.isend(1, 0, data);
+      ctx.barrier();  // the receiver starts draining a full ring
+      check_ok(ep.wait(req));
+      sender_sweeps = sweeps() - before;
+      late_rts = counter("p2p.rdvz_rts_late");
+      EXPECT_EQ(counter("p2p.rdvz_rts"), kSegments);
+      announced = true;
+    } else {
+      ctx.barrier();
+      // No receive is posted, so the descriptors park as an unexpected
+      // message and its pulls, the receiver's sweeps, wait for the recv
+      // below: every sweep counted until `announced` is the sender's.
+      while (!announced) {
+        ep.progress();
+        std::this_thread::yield();
+      }
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      std::vector<std::byte> buf(data.size());
+      check_ok(ep.recv(0, 0, buf));
+      EXPECT_EQ(buf, data);
+    }
+    ctx.barrier();
+  });
+  EXPECT_GE(late_rts.load(), 1u);
+  EXPECT_EQ(sender_sweeps.load(), kSegments + late_rts.load());
 }
 
 }  // namespace

@@ -201,6 +201,41 @@ TEST(PoolRecoveryScavenge, DeadLockHolderTicketIsBroken) {
   EXPECT_EQ(universe.recovery_stats().scavenges, 1u);
 }
 
+TEST(PoolRecoveryScavenge, SlotWalkBeatsWhileHoldingTheLock) {
+  // The scavenger walks the whole slot table under the arena lock, and a
+  // survivor waiting on that lock convicts a holder whose heartbeat is
+  // silent for a lease. With a detector clock that moves a lease on every
+  // read, each beat publishes, so the walk's beats show up one for one.
+  runtime::UniverseConfig cfg = recovery_config();
+  cfg.fault_plan.crash_at_sync.push_back(
+      {.rank = 1, .point = "lock-acquired", .occurrence = 2});
+  runtime::Universe universe(cfg);
+
+  universe.run([&](runtime::RankCtx& ctx) {
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      (void)ctx.arena().create("doomed", 4096);
+      FAIL() << "scripted crash inside create() did not fire";
+      return;
+    }
+    ASSERT_TRUE(wait_for_crash(ctx, 1));
+    ctx.failure_detector().debug_set_clock(
+        [at = std::chrono::steady_clock::time_point{},
+         lease = cfg.failure_lease]() mutable { return at += lease; });
+    const std::uint64_t heartbeat =
+        universe.heartbeat_base() +
+        static_cast<std::uint64_t>(ctx.rank()) * kCacheLineSize;
+    const std::uint64_t before = ctx.acc().peek_flag(heartbeat).value;
+    runtime::PoolRecovery recovery(ctx);
+    const auto rep = recovery.scavenge(1, 5000ms);
+    ASSERT_TRUE(rep.is_ok()) << rep.status().message();
+    EXPECT_TRUE(rep.value().performed);
+    const std::uint64_t beats = ctx.acc().peek_flag(heartbeat).value - before;
+    EXPECT_GE(beats, ctx.arena().index().total_slots() /
+                         arena::Arena::kScavengeBeatSlots);
+  });
+}
+
 // ---------------------------------------------------------------------
 // Respawn: incarnation-fenced rejoin.
 
