@@ -567,7 +567,7 @@ Arena::ScavengeStats Arena::scavenge_locked(
   ScavengeStats stats;
   const std::uint64_t dead = static_cast<std::uint64_t>(dead_participant);
   for (std::size_t i = 0; i < index_.total_slots(); ++i) {
-    if (beat && i % kScavengeBeatSlots == 0) {
+    if (i % kScavengeBeatSlots == 0) {
       beat();
     }
     Slot slot = read_slot(i);

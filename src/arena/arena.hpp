@@ -70,8 +70,7 @@ class Arena {
   struct Params {
     std::size_t levels = 10;
     std::size_t level1_buckets = 1009;  ///< paper production value: 200,000
-    /// Bakery lock width. runtime::Universe overrides it with nranks.
-    std::size_t max_participants = 64;
+    std::size_t max_participants = 64;  ///< bakery lock width
   };
 
   /// Format a fresh arena occupying [base, base + size) of the pool and
@@ -163,13 +162,13 @@ class Arena {
   /// incarnation <= `dead_incarnation` (a respawned rank's newer objects
   /// are left alone). Full slot-table walk; the CALLER must hold the
   /// arena lock — PoolRecovery wraps this together with its exactly-once
-  /// ledger update in one critical section. `beat`, when non-empty, runs
-  /// every kScavengeBeatSlots slots: the walk reads thousands of slots
-  /// while peers wait on the lock and judge the holder by its heartbeat
-  /// (pass FailureDetector::beat, which is throttled).
+  /// ledger update in one critical section. `beat` runs every
+  /// kScavengeBeatSlots slots: the walk reads thousands of slots while
+  /// peers wait on the lock and judge the holder by its heartbeat (pass
+  /// FailureDetector::beat, which is throttled).
   ScavengeStats scavenge_locked(std::size_t dead_participant,
                                 std::uint64_t dead_incarnation,
-                                const std::function<void()>& beat = {});
+                                const std::function<void()>& beat);
   static constexpr std::size_t kScavengeBeatSlots = 64;
 
   /// Bytes of metadata overhead for a given Params and arena size

@@ -12,7 +12,7 @@
 //   * non-temporal ops — bypass the cache; u64 variants are the lock-free
 //     synchronization-flag primitives (head/tail pointers, PSCW flags),
 //   * bulk_write / bulk_read — streaming payload copies with the pipelined
-//     CPU + device bandwidth model (and the node's contention gauge),
+//     CPU + device bandwidth model (and contention gauge),
 //   * timestamped flags — an 8-byte value plus an 8-byte virtual-time stamp
 //     published together, the mechanism that propagates causality between
 //     rank clocks (see simtime/vclock.hpp).

@@ -108,9 +108,6 @@ class CacheSim {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Geometry& geometry() const noexcept { return geometry_; }
 
-  /// Bulk copy streams this node's ranks have in flight (see StreamGauge).
-  [[nodiscard]] StreamGauge& copy_streams() noexcept { return copy_streams_; }
-
  private:
   /// Hardware-coherence pre-pass over every line an access spans: acquire
   /// ownership (write) or shared state (read) from peer caches. No-op
@@ -139,7 +136,6 @@ class CacheSim {
   std::vector<Line> lines_;  // sets * ways, row-major by set
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
-  StreamGauge copy_streams_;
   // Exposes stats() to the obs metrics registry as the cache.* family;
   // the registration folds the final values in when this cache dies.
   obs::ProviderRegistration obs_registration_;

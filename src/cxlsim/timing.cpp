@@ -7,24 +7,22 @@
 
 namespace cmpi::cxlsim {
 
-simtime::Ns CxlTimingModel::cpu_copy_cost(std::size_t bytes,
-                                          int streams) const noexcept {
+simtime::Ns CxlTimingModel::cpu_copy_cost(std::size_t bytes) const noexcept {
   if (bytes == 0) {
     return 0;
   }
   double rate = params_.cpu_copy_bytes_per_ns;
   if (bytes > params_.contention_threshold) {
-    // Working set exceeds the cache-friendly size: concurrent streams of
-    // one host evict each other and contend for its memory controllers.
-    // The slowdown grows with how far past the threshold the message is
-    // (log2 scale, saturating) and with the number of other streams in
-    // flight on this host.
+    // Working set exceeds the cache-friendly size: concurrent streams evict
+    // each other and contend for DIMM row buffers. The slowdown grows with
+    // how far past the threshold the message is (log2 scale, saturating)
+    // and with the number of other active streams.
     const double excess =
         std::min(1.0, std::log2(static_cast<double>(bytes) /
                                 static_cast<double>(
                                     params_.contention_threshold)) /
                           params_.contention_span_log2);
-    const int others = std::max(0, streams - 1);
+    const int others = std::max(0, active_streams() - 1);
     rate /= 1.0 + params_.contention_alpha * excess *
                       static_cast<double>(others);
   }

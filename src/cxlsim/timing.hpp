@@ -107,11 +107,30 @@ class CxlTimingModel {
     return device_.share(wfq_class);
   }
 
-  /// CPU-side cost of copying `bytes` between host memory and the pool
-  /// while `streams` bulk copies (this one included) are in flight on the
-  /// copying host: the large-working-set contention penalty.
-  [[nodiscard]] simtime::Ns cpu_copy_cost(std::size_t bytes,
-                                          int streams = 1) const noexcept;
+  /// CPU-side cost of copying `bytes` between host memory and the pool,
+  /// including the large-working-set contention penalty for the current
+  /// number of active streams.
+  [[nodiscard]] simtime::Ns cpu_copy_cost(std::size_t bytes) const noexcept;
+
+  /// RAII gauge of concurrently active bulk copy streams.
+  class StreamScope {
+   public:
+    explicit StreamScope(CxlTimingModel& model) noexcept : model_(&model) {
+      model_->active_streams_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~StreamScope() {
+      model_->active_streams_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    StreamScope(const StreamScope&) = delete;
+    StreamScope& operator=(const StreamScope&) = delete;
+
+   private:
+    CxlTimingModel* model_;
+  };
+
+  [[nodiscard]] int active_streams() const noexcept {
+    return active_streams_.load(std::memory_order_relaxed);
+  }
 
   /// Cost of an uncachable access of `total_size` bytes starting inside a
   /// UC MTRR range (per-line serialized TLPs; regime depends on size).
@@ -123,36 +142,7 @@ class CxlTimingModel {
  private:
   const CxlTimingParams params_;
   simtime::BusyResource device_;
-};
-
-/// Gauge of the bulk copy streams in flight on one host, the `streams`
-/// argument of CxlTimingModel::cpu_copy_cost. Each simulated node owns one
-/// (CacheSim::copy_streams): the streams of a host evict each other from
-/// its caches and share its memory controllers, while streams of different
-/// hosts meet only at the device, whose bandwidth reservation already
-/// charges them. Thread-safe.
-class StreamGauge {
- public:
-  /// RAII registration of one active stream.
-  class Scope {
-   public:
-    explicit Scope(StreamGauge& gauge) noexcept : gauge_(&gauge) {
-      gauge_->active_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~Scope() { gauge_->active_.fetch_sub(1, std::memory_order_relaxed); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    StreamGauge* gauge_;
-  };
-
-  [[nodiscard]] int active() const noexcept {
-    return active_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<int> active_{0};
+  std::atomic<int> active_streams_{0};
 };
 
 }  // namespace cmpi::cxlsim

@@ -68,9 +68,9 @@ struct TenantConfig {
   double bandwidth_share = 0.0;
   /// Forwarded to the tenant's UniverseConfig. The arena defaults are
   /// deliberately smaller than UniverseConfig's whole-pool defaults: a
-  /// tenant region is a few MiB, not a whole 64 MiB pool. As there,
-  /// `max_participants` is not read: the lock has one slot per tenant rank.
-  arena::Arena::Params arena_params{.levels = 4, .level1_buckets = 61};
+  /// tenant region is a few MiB, not a whole 64 MiB pool.
+  arena::Arena::Params arena_params{
+      .levels = 4, .level1_buckets = 61, .max_participants = 16};
   std::size_t cell_payload = 16_KiB;
   std::size_t ring_cells = 8;
   std::size_t rendezvous_threshold = 0;

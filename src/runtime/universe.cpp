@@ -43,11 +43,10 @@ Universe::Universe(const UniverseConfig& config)
   // accept any requested geometry and round up.
   config_.ring_cells = std::bit_ceil(config_.ring_cells);
 
-  // Arena participants are rank ids (attach in run(), rendezvous slabs,
-  // PoolRecovery, respawn), so the bakery lock is exactly nranks wide:
-  // every acquire reads both flags of every other slot, and a slot no
-  // rank owns would only add those loads to each create and destroy.
-  config_.arena_params.max_participants = config_.nranks();
+  // Every rank must have a bakery-lock slot in the arena.
+  config_.arena_params.max_participants =
+      std::max<std::size_t>(config_.arena_params.max_participants,
+                            config_.nranks());
 
   if (config_.shared_device != nullptr) {
     // Service mode: a tenant universe over a region of an existing pool.

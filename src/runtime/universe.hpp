@@ -56,9 +56,8 @@ struct UniverseConfig {
   unsigned nodes = 2;
   unsigned ranks_per_node = 1;
   std::size_t pool_size = 64_MiB;
-  /// Arena geometry. `max_participants` is not read: the universe sizes
-  /// the arena's bakery lock to nranks(), one slot per rank.
-  arena::Arena::Params arena_params{.levels = 10, .level1_buckets = 1009};
+  arena::Arena::Params arena_params{
+      .levels = 10, .level1_buckets = 1009, .max_participants = 64};
   cxlsim::CxlTimingParams timing{};
   cxlsim::CacheSim::Geometry cache_geometry{};
   /// Fixed software cost charged per MPI-level call (argument checking,

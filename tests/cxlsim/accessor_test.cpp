@@ -167,22 +167,6 @@ TEST_F(AccessorTest, ConcurrentBulkWritesContendOnDevice) {
   EXPECT_GT(clock_b.now(), 1.8 * solo);
 }
 
-TEST_F(AccessorTest, BulkCopyContendsOnlyWithItsOwnNodesStreams) {
-  // A stream in flight on node A (held here as another rank of that node
-  // would hold it) slows node A's large copies but not node B's: hosts
-  // share only the device, whose bandwidth reservation charges them.
-  const auto data = pattern(1_MiB);
-  const CxlTimingModel& timing = device_->timing();
-  const StreamGauge::Scope other_on_a(cache_a_->copy_streams());
-  acc_b_->bulk_write(0, data);
-  EXPECT_DOUBLE_EQ(clock_b_.now(), timing.params().flush_base +
-                                       timing.cpu_copy_cost(1_MiB, 1));
-  acc_a_->bulk_write(1_MiB, data);
-  EXPECT_DOUBLE_EQ(clock_a_.now(), timing.params().flush_base +
-                                       timing.cpu_copy_cost(1_MiB, 2));
-  EXPECT_GT(clock_a_.now(), clock_b_.now());
-}
-
 TEST_F(AccessorTest, UncachableRegionBypassesCache) {
   check_ok(device_->set_cacheability(64_KiB, 4096,
                                      Cacheability::kUncachable));

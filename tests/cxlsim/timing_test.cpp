@@ -40,35 +40,39 @@ TEST(CxlTiming, CpuCopyCostLinearBelowThreshold) {
 
 TEST(CxlTiming, CpuCopySoloStreamNeverDegrades) {
   CxlTimingModel model{CxlTimingParams{}};
+  CxlTimingModel::StreamScope self(model);
   const auto& p = model.params();
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(8_MiB, 1),
-                   8_MiB / p.cpu_copy_bytes_per_ns);
+  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(8_MiB), 8_MiB / p.cpu_copy_bytes_per_ns);
 }
 
 TEST(CxlTiming, CpuCopyDegradesWithConcurrentStreamsForLargeMessages) {
   CxlTimingModel model{CxlTimingParams{}};
+  CxlTimingModel::StreamScope s1(model);
+  CxlTimingModel::StreamScope s2(model);
+  CxlTimingModel::StreamScope s3(model);
+  CxlTimingModel::StreamScope s4(model);
   const auto& p = model.params();
   // Small messages: contention-free even with 4 streams.
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(16_KiB, 4),
+  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(16_KiB),
                    16_KiB / p.cpu_copy_bytes_per_ns);
   // Large messages: slower than the solo rate.
-  EXPECT_GT(model.cpu_copy_cost(8_MiB, 4),
+  EXPECT_GT(model.cpu_copy_cost(8_MiB),
             1.5 * (8_MiB / p.cpu_copy_bytes_per_ns));
 }
 
 TEST(CxlTiming, StreamScopeGaugeNests) {
-  StreamGauge gauge;
-  EXPECT_EQ(gauge.active(), 0);
+  CxlTimingModel model{CxlTimingParams{}};
+  EXPECT_EQ(model.active_streams(), 0);
   {
-    StreamGauge::Scope a(gauge);
-    EXPECT_EQ(gauge.active(), 1);
+    CxlTimingModel::StreamScope a(model);
+    EXPECT_EQ(model.active_streams(), 1);
     {
-      StreamGauge::Scope b(gauge);
-      EXPECT_EQ(gauge.active(), 2);
+      CxlTimingModel::StreamScope b(model);
+      EXPECT_EQ(model.active_streams(), 2);
     }
-    EXPECT_EQ(gauge.active(), 1);
+    EXPECT_EQ(model.active_streams(), 1);
   }
-  EXPECT_EQ(gauge.active(), 0);
+  EXPECT_EQ(model.active_streams(), 0);
 }
 
 TEST(CxlTiming, DeviceReadsCheaperThanWrites) {

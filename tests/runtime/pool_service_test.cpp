@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <set>
@@ -79,18 +78,6 @@ TEST(PoolService, JoinAssignsDisjointRegionsAndMonotonicIds) {
   EXPECT_EQ(stats.admissions, 2u);
   EXPECT_EQ(stats.active_tenants, 2u);
   EXPECT_EQ(stats.rejections, 0u);
-}
-
-TEST(PoolService, TenantArenaLockHasOneSlotPerTenantRank) {
-  PoolService service(small_service());
-  TenantSession session = check_ok(service.join(small_tenant()));
-  std::atomic<std::size_t> width{0};
-  session.universe().run([&](RankCtx& ctx) {
-    if (ctx.rank() == 0) {
-      width = ctx.arena().shm_lock().max_participants();
-    }
-  });
-  EXPECT_EQ(width.load(), 2u);
 }
 
 TEST(PoolService, TenantUniverseRunsEntirelyInsideItsRegion) {

@@ -77,23 +77,6 @@ TEST(Universe, ArenaObjectsVisibleAcrossRanks) {
   });
 }
 
-TEST(Universe, ArenaLockHasOneSlotPerRank) {
-  // Arena participants are rank ids, so the bakery lock is exactly nranks
-  // wide: a wider lock only adds flag loads to every acquire.
-  for (const unsigned nodes : {2u, 5u}) {
-    UniverseConfig cfg = small_config(nodes, 1);
-    cfg.arena_params.max_participants = 64;  // not read by the universe
-    Universe universe(cfg);
-    std::atomic<std::size_t> width{0};
-    universe.run([&](RankCtx& ctx) {
-      if (ctx.rank() == 0) {
-        width = ctx.arena().shm_lock().max_participants();
-      }
-    });
-    EXPECT_EQ(width.load(), nodes);
-  }
-}
-
 TEST(Universe, RankExceptionPropagates) {
   Universe universe(small_config(1, 2));
   EXPECT_THROW(
