@@ -12,12 +12,13 @@
 //                                     resolution and fail when a checked-in
 //                                     winner measures below 95% of the new
 //                                     best for its class — catching a stale
-//                                     table without flaking on sub-percent
-//                                     virtual-time jitter.
+//                                     table.
 //
-// All measurements are virtual-time (deterministic for a fixed build), so
-// the table never drifts between machines — only between code versions,
-// which is exactly what the CI gate is for.
+// All measurements are virtual time, so host speed does not move them,
+// but they are not deterministic: contended charges follow the order in
+// which host threads arrive (ROADMAP.md item 2). One build can measure a
+// different best for a class from run to run, so --check can trip with
+// no code change (ROADMAP.md item 4).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>

@@ -7,8 +7,9 @@
 // contribution into a shared window and reads the others' after a
 // barrier — one device write plus direct reads, no per-message queue
 // protocol at all. This module provides that style for the collectives
-// where it pays off, and bench/ablation_coll_cxl compares the two
-// (p2p-algorithmic vs CXL-direct) across message sizes.
+// where it pays off; the allgather record under "Ablations" in
+// EXPERIMENTS.md compares the two (p2p-algorithmic vs CXL-direct) across
+// message sizes.
 #pragma once
 
 #include <span>

@@ -128,8 +128,9 @@ bool HierColl::use_cxl(std::size_t bytes, ReduceOp op) const noexcept {
   // The direct-over-pool algorithms are all-read-all: every rank issues
   // (n-1) device reads, all serialized on the pool's shared bandwidth —
   // O(n^2) device transactions per collective. That wins at small pod
-  // sizes (one fence instead of log n round trips) and loses badly past a
-  // handful of ranks (bench/ablation_coll_cxl), so gate on pod size too.
+  // sizes (one fence instead of log n round trips) and loses past a
+  // handful of ranks (EXPERIMENTS.md, "Ablations"), so gate on pod size
+  // too.
   return cxl_ != nullptr && op == ReduceOp::kSum &&
          bytes <= cxl_->max_bytes() &&
          ctx_->topology().ranks_per_pod <= kCxlDirectMaxRanks;

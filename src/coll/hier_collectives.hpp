@@ -44,7 +44,8 @@ inline constexpr int kTagHier = kCollTagBase + 0xB00;
 /// Largest pod size where the CxlCollectives direct-over-pool algorithms
 /// still win: they are all-read-all, i.e. O(pod ranks^2) serialized device
 /// reads per collective, so past a handful of ranks the log-round p2p
-/// algorithms are faster (bench/ablation_coll_cxl).
+/// algorithms are faster (the allgather record under "Ablations" in
+/// EXPERIMENTS.md: at 16 ranks Bruck beats direct up to 512 B).
 inline constexpr int kCxlDirectMaxRanks = 8;
 
 /// Request handle of PodComm (nullptr-comparable, like p2p::RequestPtr).

@@ -17,20 +17,6 @@ std::size_t lines_of(std::uint64_t offset, std::size_t size) noexcept {
   return cache_lines_spanned(offset, size);
 }
 
-/// Per-line cost of a Back-Invalidate coherence transaction: snoop every
-/// other attached cache plus the device-directory lookup (§3.5's
-/// scalability argument — grows with the coherence domain).
-simtime::Ns bi_line_cost(DaxDevice& device) noexcept {
-  const auto& p = device.timing().params();
-  if (!p.hw_coherence) {
-    return 0;
-  }
-  const std::size_t others =
-      device.attached_caches() > 0 ? device.attached_caches() - 1 : 0;
-  return p.bi_snoop_base + p.bi_directory_lookup +
-         static_cast<simtime::Ns>(others) * p.bi_snoop_per_cache;
-}
-
 }  // namespace
 
 void Accessor::store(std::uint64_t offset, std::span<const std::byte> src) {
@@ -42,10 +28,9 @@ void Accessor::store(std::uint64_t offset, std::span<const std::byte> src) {
     return;
   }
   cache_.write(offset, src);
-  // Stores retire through the write buffer; per-line cost is a cache hit
-  // (plus the BI ownership transaction under hardware coherence).
+  // Stores retire through the write buffer; per-line cost is a cache hit.
   clock_.advance(static_cast<simtime::Ns>(lines_of(offset, src.size())) *
-                 (p.cache_hit_latency + bi_line_cost(device_)));
+                 p.cache_hit_latency);
 }
 
 void Accessor::load(std::uint64_t offset, std::span<std::byte> dst) {
@@ -61,11 +46,9 @@ void Accessor::load(std::uint64_t offset, std::span<std::byte> dst) {
   const auto after = cache_.stats();
   const auto misses = after.misses - before.misses;
   const auto hits = after.hits - before.hits;
-  // Under hardware coherence every miss is also a BI snoop round. A
-  // degraded link (fault injection) stretches the fill, not the hit.
+  // A degraded link (fault injection) stretches the fill, not the hit.
   clock_.advance(static_cast<simtime::Ns>(misses) *
-                     (p.line_fill_latency * fault_latency_multiplier() +
-                      bi_line_cost(device_)) +
+                     (p.line_fill_latency * fault_latency_multiplier()) +
                  static_cast<simtime::Ns>(hits) * p.cache_hit_latency);
 }
 

@@ -13,7 +13,6 @@ CacheSim::CacheSim(DaxDevice& device, Geometry geometry)
     : device_(device), geometry_(geometry) {
   CMPI_EXPECTS(geometry.sets > 0 && geometry.ways > 0);
   lines_.resize(geometry_.sets * geometry_.ways);
-  device_.register_cache(this);
   obs_registration_ = obs::ProviderRegistration([this] {
     const Stats s = stats();
     return std::vector<obs::Sample>{{"cache.hits", s.hits},
@@ -23,39 +22,10 @@ CacheSim::CacheSim(DaxDevice& device, Geometry geometry)
   });
 }
 
-CacheSim::~CacheSim() { device_.unregister_cache(this); }
-
-void CacheSim::bi_acquire_range(std::uint64_t offset, std::size_t size,
-                                bool for_write) {
-  if (!device_.timing().params().hw_coherence || size == 0) {
-    return;
-  }
-  const std::uint64_t first = align_down(offset, kCacheLineSize);
-  const std::uint64_t last = align_down(offset + size - 1, kCacheLineSize);
-  for (std::uint64_t at = first; at <= last; at += kCacheLineSize) {
-    if (for_write) {
-      device_.bi_write_acquire(at, this);
-    } else {
-      device_.bi_read_acquire(at, this);
-    }
-  }
-}
-
-void CacheSim::external_invalidate(std::uint64_t line_offset) {
-  std::lock_guard lock(mutex_);
-  if (Line* line = find_line(line_offset); line != nullptr) {
-    writeback_line(*line);
-    line->valid = false;
-    if (CoherenceChecker* chk = device_.checker()) {
-      chk->on_invalidate(this, line_offset);
-    }
-  }
-}
-
-void CacheSim::external_writeback(std::uint64_t line_offset) {
-  std::lock_guard lock(mutex_);
-  if (Line* line = find_line(line_offset); line != nullptr && line->dirty) {
-    writeback_line(*line);
+CacheSim::~CacheSim() {
+  // Leave the checker's coherence domain: forget this cache's copies.
+  if (CoherenceChecker* chk = device_.checker()) {
+    chk->on_cache_detached(this);
   }
 }
 
@@ -130,7 +100,6 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
 
 void CacheSim::read(std::uint64_t offset, std::span<std::byte> dst) {
   CMPI_EXPECTS(offset + dst.size() <= device_.size());
-  bi_acquire_range(offset, dst.size(), /*for_write=*/false);
   std::lock_guard lock(mutex_);
   std::size_t done = 0;
   while (done < dst.size()) {
@@ -156,7 +125,6 @@ void CacheSim::read(std::uint64_t offset, std::span<std::byte> dst) {
 
 void CacheSim::write(std::uint64_t offset, std::span<const std::byte> src) {
   CMPI_EXPECTS(offset + src.size() <= device_.size());
-  bi_acquire_range(offset, src.size(), /*for_write=*/true);
   std::lock_guard lock(mutex_);
   std::size_t done = 0;
   while (done < src.size()) {
@@ -241,7 +209,6 @@ CacheSim::FlushResult CacheSim::clwb(std::uint64_t offset, std::size_t size) {
 
 void CacheSim::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
   CMPI_EXPECTS(offset + src.size() <= device_.size());
-  bi_acquire_range(offset, src.size(), /*for_write=*/true);
   std::lock_guard lock(mutex_);
   if (!src.empty()) {
     // Evict any cached copies so the cache never shadows the NT data.
@@ -266,7 +233,6 @@ void CacheSim::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
 
 void CacheSim::nt_load(std::uint64_t offset, std::span<std::byte> dst) {
   CMPI_EXPECTS(offset + dst.size() <= device_.size());
-  bi_acquire_range(offset, dst.size(), /*for_write=*/false);
   std::lock_guard lock(mutex_);
   pool_read(offset, dst);
   if (CoherenceChecker* chk = device_.checker()) {

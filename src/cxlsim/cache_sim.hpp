@@ -97,24 +97,10 @@ class CacheSim {
   /// Drop all lines WITHOUT writing back (power-loss style; tests only).
   void drop_all();
 
-  // --- Back-Invalidate snoop handlers (device-initiated; only used when
-  //     the device runs with hw_coherence, §3.5) ---
-  /// Another cache takes ownership of the line: write back if dirty and
-  /// invalidate our copy.
-  void external_invalidate(std::uint64_t line_offset);
-  /// Another cache reads the line: write back our dirty copy (keep it).
-  void external_writeback(std::uint64_t line_offset);
-
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Geometry& geometry() const noexcept { return geometry_; }
 
  private:
-  /// Hardware-coherence pre-pass over every line an access spans: acquire
-  /// ownership (write) or shared state (read) from peer caches. No-op
-  /// unless the device runs with hw_coherence.
-  void bi_acquire_range(std::uint64_t offset, std::size_t size,
-                        bool for_write);
-
   struct Line {
     std::uint64_t tag = 0;  ///< line-aligned pool offset
     std::uint64_t lru = 0;

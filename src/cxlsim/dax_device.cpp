@@ -9,7 +9,6 @@
 #include <new>
 
 #include "common/log.hpp"
-#include "cxlsim/cache_sim.hpp"
 #include "cxlsim/coherence_checker.hpp"
 #include "cxlsim/fault_injector.hpp"
 
@@ -161,42 +160,6 @@ FaultInjector& DaxDevice::install_fault_plan(FaultPlan plan) {
 }
 
 void DaxDevice::clear_fault_plan() { fault_injector_.reset(); }
-
-void DaxDevice::register_cache(CacheSim* cache) {
-  std::lock_guard lock(cache_registry_mutex_);
-  caches_.push_back(cache);
-}
-
-void DaxDevice::unregister_cache(CacheSim* cache) {
-  if (checker_ != nullptr) {
-    checker_->on_cache_detached(cache);
-  }
-  std::lock_guard lock(cache_registry_mutex_);
-  std::erase(caches_, cache);
-}
-
-std::size_t DaxDevice::attached_caches() const {
-  std::lock_guard lock(cache_registry_mutex_);
-  return caches_.size();
-}
-
-void DaxDevice::bi_write_acquire(std::uint64_t line_offset, CacheSim* self) {
-  std::lock_guard lock(cache_registry_mutex_);
-  for (CacheSim* cache : caches_) {
-    if (cache != self) {
-      cache->external_invalidate(line_offset);
-    }
-  }
-}
-
-void DaxDevice::bi_read_acquire(std::uint64_t line_offset, CacheSim* self) {
-  std::lock_guard lock(cache_registry_mutex_);
-  for (CacheSim* cache : caches_) {
-    if (cache != self) {
-      cache->external_writeback(line_offset);
-    }
-  }
-}
 
 Cacheability DaxDevice::cacheability(std::uint64_t offset) const noexcept {
   const MtrrTable& table = ctrl_->mtrr;

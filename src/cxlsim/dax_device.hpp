@@ -24,9 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "common/align.hpp"
 #include "common/status.hpp"
@@ -34,7 +32,6 @@
 
 namespace cmpi::cxlsim {
 
-class CacheSim;
 class CoherenceChecker;
 class FaultInjector;
 struct FaultPlan;
@@ -101,21 +98,6 @@ class DaxDevice {
   /// resources that create contention).
   [[nodiscard]] CxlTimingModel& timing() noexcept { return timing_; }
 
-  // --- Back-Invalidate hardware coherence (only active when
-  //     timing().params().hw_coherence; see timing.hpp) ---
-  /// Attach/detach a node cache to the coherence domain (CacheSim does
-  /// this automatically). The registry is per-process.
-  void register_cache(CacheSim* cache);
-  void unregister_cache(CacheSim* cache);
-  /// Number of attached caches (sizes the snoop cost).
-  [[nodiscard]] std::size_t attached_caches() const;
-
-  /// BI ownership acquisition for a line-aligned offset: every cache
-  /// except `self` writes back a dirty copy and invalidates.
-  void bi_write_acquire(std::uint64_t line_offset, CacheSim* self);
-  /// BI shared acquisition: dirty peers write back (and keep the line).
-  void bi_read_acquire(std::uint64_t line_offset, CacheSim* self);
-
   // --- Coherence-protocol checking (see coherence_checker.hpp) ---
   /// Attach a checker (idempotent). Enable before any pool traffic: lines
   /// cached earlier are tracked conservatively but without version history.
@@ -173,8 +155,6 @@ class DaxDevice {
   CtrlBlock* ctrl_ = nullptr;
   unsigned heads_ = 0;
   CxlTimingModel timing_;
-  mutable std::mutex cache_registry_mutex_;
-  std::vector<CacheSim*> caches_;
   std::unique_ptr<CoherenceChecker> checker_;
   std::unique_ptr<FaultInjector> fault_injector_;
 };

@@ -48,18 +48,6 @@ struct CxlTimingParams {
   double cpu_copy_bytes_per_ns = 2.0; ///< single-stream CPU mov to/from pool
   double local_mem_bytes_per_ns = 132.8;  ///< host-local DRAM streaming
 
-  // --- CXL 3.0 Back-Invalidate hardware coherence (§3.5) ---
-  /// When true, the device keeps node caches coherent in hardware: plain
-  /// cached accesses are globally visible with no software flushes, but
-  /// every miss/ownership change pays a snoop transaction whose cost
-  /// grows with the number of attached caches (and a directory lookup in
-  /// device DRAM — the paper's argument for why a precise snoop filter
-  /// does not scale to large pooled memory).
-  bool hw_coherence = false;
-  simtime::Ns bi_snoop_base = 300;       ///< issue a BI transaction
-  simtime::Ns bi_snoop_per_cache = 250;  ///< per additional attached cache
-  simtime::Ns bi_directory_lookup = 300; ///< directory access in device DRAM
-
   // --- Memory-hierarchy contention for large working sets (§4.2) ---
   /// Messages at or below this size are cache-friendly; beyond it, multiple
   /// concurrent streams degrade each other's effective CPU copy rate.

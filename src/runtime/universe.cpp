@@ -50,11 +50,10 @@ Universe::Universe(const UniverseConfig& config)
 
   if (config_.shared_device != nullptr) {
     // Service mode: a tenant universe over a region of an existing pool.
-    // Device-global policy (fault plans, MTRR cacheability) belongs to
-    // the device owner (the pool service), not to any one tenant.
+    // Device-global policy (fault plans) belongs to the device owner
+    // (the pool service), not to any one tenant.
     device_ = config_.shared_device;
     CMPI_EXPECTS(config_.fault_plan.empty());
-    CMPI_EXPECTS(!config_.uncachable_pool);
     region_base_ = config_.region_base;
     region_size_ = config_.region_size != 0
                        ? config_.region_size
@@ -75,10 +74,6 @@ Universe::Universe(const UniverseConfig& config)
     device_->enable_coherence_checker();
   } else if (config_.coherence_check == CoherenceChecking::kDisabled) {
     device_->disable_coherence_checker();
-  }
-  if (config_.uncachable_pool) {
-    check_ok(device_->set_cacheability(0, device_->size(),
-                                       cxlsim::Cacheability::kUncachable));
   }
   node_caches_.reserve(config_.nodes);
   for (unsigned n = 0; n < config_.nodes; ++n) {

@@ -91,10 +91,6 @@ struct UniverseConfig {
   /// table's rows for this cell payload replace the three knobs above,
   /// one row per message-size class; without such rows the knobs apply.
   tune::TuneOptions tune{};
-  /// §3.5's rejected alternative to software coherence: mark the whole
-  /// pool uncachable via MTRR. Correct but drastically slower past the
-  /// PCIe MPS (see bench/ablation_coherence_mode and Fig. 11).
-  bool uncachable_pool = false;
   /// Coherence-protocol checking (off by default; the test suite turns it
   /// on for every test via CMPI_COHERENCE_CHECK=1). When enabled, every
   /// missing flush/fence/invalidate in a protocol layer is recorded and
@@ -118,8 +114,8 @@ struct UniverseConfig {
   /// the pool: every on-pool structure (bootstrap page, barrier,
   /// heartbeats, recovery ledger, doorbell matrix, arena) is laid out
   /// region-relative, and each rank accessor is fenced to the region with
-  /// blast-radius counters. pool_size/uncachable_pool/fault_plan are the
-  /// *device owner's* business and must stay at their defaults here.
+  /// blast-radius counters. pool_size/fault_plan are the *device owner's*
+  /// business and must stay at their defaults here.
   std::shared_ptr<cxlsim::DaxDevice> shared_device;
   std::uint64_t region_base = 0;
   std::size_t region_size = 0;  ///< 0 = rest of the pool

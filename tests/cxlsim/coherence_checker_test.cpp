@@ -264,6 +264,22 @@ TEST_F(CoherenceCheckerTest, SummaryStringAndClear) {
   EXPECT_TRUE(checker().violations().empty());
 }
 
+TEST_F(CoherenceCheckerTest, DestroyedCacheLeavesTheDomain) {
+  // A node that goes away takes its cached copies with it: a dirty line it
+  // never flushed must not turn a later store by another node into a lost
+  // update.
+  as_consumer();
+  const std::vector<std::byte> theirs(64, std::byte{0x02});
+  consumer_->store(kData, theirs);  // dirty in the consumer's cache
+  consumer_.reset();
+  consumer_cache_.reset();
+
+  as_producer();
+  const std::vector<std::byte> mine(64, std::byte{0x01});
+  producer_->nt_store(kData, mine);
+  EXPECT_EQ(checker().total_violations(), 0u);
+}
+
 TEST_F(CoherenceCheckerTest, DisabledCheckerCostsNothingAndReportsNothing) {
   device_->disable_coherence_checker();
   EXPECT_EQ(device_->checker(), nullptr);

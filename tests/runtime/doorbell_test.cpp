@@ -116,7 +116,10 @@ TEST(Doorbell, SeededStressNoLostWakeups) {
       for (int i = 0; i < kRingsEach; ++i) {
         count.fetch_add(1, std::memory_order_relaxed);
         bell.ring();
-        for (volatile int spin = jitter(rng); spin > 0; --spin) {
+        // The compiler barrier keeps the empty spin from being folded
+        // away (C++20 deprecates -- on a volatile counter).
+        for (int spin = jitter(rng); spin > 0; --spin) {
+          std::atomic_signal_fence(std::memory_order_seq_cst);
         }
       }
     });
