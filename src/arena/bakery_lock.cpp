@@ -50,57 +50,25 @@ Result<BakeryLock> BakeryLock::attach(cxlsim::Accessor& acc,
 }
 
 void BakeryLock::lock(cxlsim::Accessor& acc, std::size_t participant) const {
-  CMPI_EXPECTS(participant < max_participants_);
-  // Doorway: pick a ticket one greater than every ticket currently drawn.
-  acc.publish_flag(slot(participant) + kChoosingOffset, kChoosingSet);
-  std::uint64_t max_ticket = 0;
-  for (std::size_t j = 0; j < max_participants_; ++j) {
-    const auto number = acc.peek_flag(slot(j) + kNumberOffset);
-    max_ticket = std::max(max_ticket, number.value);
-  }
-  const std::uint64_t my_ticket = max_ticket + 1;
-  acc.publish_flag(slot(participant) + kNumberOffset, my_ticket);
-  acc.publish_flag(slot(participant) + kChoosingOffset, kFlagClear);
-
-  // Wait for every lower-priority ticket holder.
-  for (std::size_t j = 0; j < max_participants_; ++j) {
-    if (j == participant) {
-      continue;
-    }
-    // First wait until j is out of the doorway.
-    for (;;) {
-      const auto choosing = acc.peek_flag(slot(j) + kChoosingOffset);
-      if (choosing.value == kFlagClear) {
-        acc.absorb_flag(choosing);
-        break;
-      }
-      std::this_thread::yield();
-    }
-    // Then wait until j either is not competing or has lower priority
-    // (larger ticket, or equal ticket and larger id).
-    for (;;) {
-      const auto number = acc.peek_flag(slot(j) + kNumberOffset);
-      const bool j_waits_behind =
-          number.value == kFlagClear || number.value > my_ticket ||
-          (number.value == my_ticket && j > participant);
-      if (j_waits_behind) {
-        acc.absorb_flag(number);
-        break;
-      }
-      std::this_thread::yield();
-    }
-  }
-  acc.fault_sync_point("lock-acquired");
+  check_ok(acquire(acc, participant,
+                   std::chrono::steady_clock::time_point::max(), {}, {}));
 }
 
 Status BakeryLock::lock_for(cxlsim::Accessor& acc, std::size_t participant,
                             std::chrono::milliseconds timeout,
                             const DeadPredicate& peer_dead,
                             const std::function<void()>& beat) const {
+  return acquire(acc, participant, std::chrono::steady_clock::now() + timeout,
+                 peer_dead, beat);
+}
+
+Status BakeryLock::acquire(cxlsim::Accessor& acc, std::size_t participant,
+                           std::chrono::steady_clock::time_point deadline,
+                           const DeadPredicate& peer_dead,
+                           const std::function<void()>& beat) const {
   CMPI_EXPECTS(participant < max_participants_);
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  // Doorway, as in lock(): the scan is bounded, only the waits below can
-  // block.
+  // Doorway: pick a ticket one greater than every ticket currently drawn.
+  // The scan is bounded; only the waits below can block.
   acc.publish_flag(slot(participant) + kChoosingOffset, kChoosingSet);
   std::uint64_t max_ticket = 0;
   for (std::size_t j = 0; j < max_participants_; ++j) {
@@ -120,28 +88,28 @@ Status BakeryLock::lock_for(cxlsim::Accessor& acc, std::size_t participant,
         " gave up waiting behind participant " +
         std::to_string(stuck_behind));
   };
-  const auto wait_tick = [&](std::size_t j) -> bool {
-    // Returns whether the dead participant's slots were just broken (the
-    // caller should re-peek rather than yield).
+  const auto wait_tick = [&](std::size_t j) {
     if (peer_dead && peer_dead(j)) {
       // Break the dead participant's doorway and ticket. Its rank is
       // fenced off (sticky verdict), so these slots have no writer left;
       // clearing them is what lets the bakery queue drain past a crash.
+      // The caller re-peeks at once instead of yielding.
       acc.publish_flag(slot(j) + kChoosingOffset, kFlagClear);
       acc.publish_flag(slot(j) + kNumberOffset, kFlagClear);
-      return true;
+      return;
     }
     if (beat) {
       beat();
     }
     std::this_thread::yield();
-    return false;
   };
 
+  // Wait for every lower-priority ticket holder.
   for (std::size_t j = 0; j < max_participants_; ++j) {
     if (j == participant) {
       continue;
     }
+    // First wait until j is out of the doorway.
     for (;;) {
       const auto choosing = acc.peek_flag(slot(j) + kChoosingOffset);
       if (choosing.value == kFlagClear) {
@@ -153,6 +121,8 @@ Status BakeryLock::lock_for(cxlsim::Accessor& acc, std::size_t participant,
       }
       wait_tick(j);
     }
+    // Then wait until j either is not competing or has lower priority
+    // (larger ticket, or equal ticket and larger id).
     for (;;) {
       const auto number = acc.peek_flag(slot(j) + kNumberOffset);
       const bool j_waits_behind =
@@ -170,38 +140,6 @@ Status BakeryLock::lock_for(cxlsim::Accessor& acc, std::size_t participant,
   }
   acc.fault_sync_point("lock-acquired");
   return Status::ok();
-}
-
-bool BakeryLock::try_lock(cxlsim::Accessor& acc,
-                          std::size_t participant) const {
-  CMPI_EXPECTS(participant < max_participants_);
-  acc.publish_flag(slot(participant) + kChoosingOffset, kChoosingSet);
-  std::uint64_t max_ticket = 0;
-  bool contended = false;
-  for (std::size_t j = 0; j < max_participants_; ++j) {
-    if (j == participant) {
-      continue;
-    }
-    const auto choosing = acc.peek_flag(slot(j) + kChoosingOffset);
-    const auto number = acc.peek_flag(slot(j) + kNumberOffset);
-    if (choosing.value != kFlagClear || number.value != kFlagClear) {
-      contended = true;
-    }
-    max_ticket = std::max(max_ticket, number.value);
-  }
-  if (contended) {
-    acc.publish_flag(slot(participant) + kChoosingOffset, kFlagClear);
-    return false;
-  }
-  acc.publish_flag(slot(participant) + kNumberOffset, max_ticket + 1);
-  acc.publish_flag(slot(participant) + kChoosingOffset, kFlagClear);
-  // Between our scan and our ticket publication another participant may
-  // have entered the doorway; fall back to the full wait, which is brief
-  // because our ticket is already drawn.
-  lock(acc, participant);
-  // lock() re-publishes choosing/number; our earlier publication only
-  // shortens its doorway. Correctness is the bakery invariant itself.
-  return true;
 }
 
 void BakeryLock::unlock(cxlsim::Accessor& acc, std::size_t participant) const {

@@ -79,11 +79,6 @@ class BakeryLock {
   /// passive-epoch puts.
   void unlock(cxlsim::Accessor& acc, std::size_t participant) const;
 
-  /// Try to acquire without waiting behind other tickets. Returns false if
-  /// any other participant is competing.
-  [[nodiscard]] bool try_lock(cxlsim::Accessor& acc,
-                              std::size_t participant) const;
-
   /// Break a dead participant's doorway and ticket outright (the same
   /// clearing lock_for performs while waiting behind a corpse, exposed for
   /// PoolRecovery's scavenge pass — a stale ticket blocks every FUTURE
@@ -136,6 +131,15 @@ class BakeryLock {
 
   BakeryLock(std::uint64_t base, std::size_t max_participants)
       : base_(base), max_participants_(max_participants) {}
+
+  /// The one acquire behind lock() and lock_for(): doorway, then wait
+  /// behind every lower-priority ticket until `deadline`, breaking the
+  /// slots of a holder `peer_dead` convicts and calling `beat` (either may
+  /// be empty) on each blocked tick.
+  [[nodiscard]] Status acquire(cxlsim::Accessor& acc, std::size_t participant,
+                               std::chrono::steady_clock::time_point deadline,
+                               const DeadPredicate& peer_dead,
+                               const std::function<void()>& beat) const;
 
   [[nodiscard]] std::uint64_t slot(std::size_t participant) const noexcept {
     return base_ + kHeaderBytes + participant * kSlotBytes;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
-#include <thread>
 
 #include "common/contracts.hpp"
 #include "common/hash.hpp"
@@ -127,13 +126,6 @@ std::size_t NetFabric::recv(NetCtx& ctx, int src, int tag,
   return msg.data.size();
 }
 
-bool NetFabric::poll(int me, int src, int tag) {
-  std::lock_guard lock(mutex_);
-  Pair& p = pair(src, me);
-  return std::any_of(p.queue.begin(), p.queue.end(),
-                     [&](const Msg& m) { return m.tag == tag; });
-}
-
 std::vector<std::byte>& NetFabric::window_memory(const std::string& name,
                                                  std::size_t size) {
   std::lock_guard lock(window_mutex_);
@@ -147,13 +139,7 @@ std::vector<std::byte>& NetFabric::window_memory(const std::string& name,
 // ---------- NetCtx ----------
 
 void NetCtx::barrier() {
-  // Two-phase virtual-time barrier: deposit clocks, then take the max.
-  (*clock_board_)[static_cast<std::size_t>(rank_)] = clock_.now();
-  sync_->arrive_and_wait();
-  const simtime::Ns max_clock =
-      *std::max_element(clock_board_->begin(), clock_board_->end());
-  sync_->arrive_and_wait();
-  clock_.observe(max_clock);
+  barrier_->enter(static_cast<unsigned>(rank_), clock_);
 }
 
 // ---------- NetUniverse ----------
@@ -163,36 +149,20 @@ NetUniverse::NetUniverse(const NetConfig& config)
 
 void NetUniverse::run(const std::function<void(NetCtx&)>& fn) {
   const unsigned nranks = config_.nranks();
-  std::barrier<> sync(static_cast<std::ptrdiff_t>(nranks));
-  std::vector<simtime::Ns> clock_board(nranks, 0);
-  std::vector<std::thread> threads;
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  threads.reserve(nranks);
-  for (unsigned r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      NetCtx ctx;
-      ctx.rank_ = static_cast<int>(r);
-      ctx.nranks_ = static_cast<int>(nranks);
-      ctx.fabric_ = &fabric_;
-      ctx.sync_ = &sync;
-      ctx.clock_board_ = &clock_board;
-      try {
+  runtime::ClockBarrier barrier(nranks);
+  const std::exception_ptr error = runtime::launch_ranks(
+      nranks,
+      [&](unsigned r) {
+        NetCtx ctx;
+        ctx.rank_ = static_cast<int>(r);
+        ctx.nranks_ = static_cast<int>(nranks);
+        ctx.fabric_ = &fabric_;
+        ctx.barrier_ = &barrier;
         fn(ctx);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        fabric_.doorbell().ring();
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
+      },
+      [this] { fabric_.doorbell().ring(); });
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -19,11 +19,11 @@
 //    profile's rma_sync_overhead, reproducing the ~620-630 us one-sided
 //    latencies of §4.2.
 //
-// NetUniverse mirrors runtime::Universe: rank threads, virtual clocks, a
-// virtual-time barrier — but no CXL device.
+// NetUniverse mirrors runtime::Universe: ranks started by
+// runtime::launch_ranks, virtual clocks, a runtime::ClockBarrier — but no
+// CXL device.
 #pragma once
 
-#include <barrier>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,6 +38,7 @@
 #include "common/units.hpp"
 #include "fabric/profiles.hpp"
 #include "runtime/doorbell.hpp"
+#include "runtime/launch.hpp"
 #include "simtime/vclock.hpp"
 
 namespace cmpi::fabric {
@@ -76,9 +77,6 @@ class NetFabric {
   /// Receive the first matching message (FIFO per (src,tag)). Blocks.
   /// Returns the payload size. `data` may be smaller (truncated copy).
   std::size_t recv(NetCtx& ctx, int src, int tag, std::span<std::byte> data);
-
-  /// True if a matching message is queued (no time charge).
-  bool poll(int me, int src, int tag);
 
   [[nodiscard]] const NetConfig& config() const noexcept { return config_; }
   [[nodiscard]] runtime::Doorbell& doorbell() noexcept { return doorbell_; }
@@ -144,15 +142,15 @@ class NetCtx {
   int nranks_ = 0;
   simtime::VClock clock_;
   NetFabric* fabric_ = nullptr;
-  std::barrier<>* sync_ = nullptr;
-  std::vector<simtime::Ns>* clock_board_ = nullptr;
+  runtime::ClockBarrier* barrier_ = nullptr;
 };
 
 class NetUniverse {
  public:
   explicit NetUniverse(const NetConfig& config);
 
-  /// One thread per rank; re-throws the first rank exception.
+  /// One thread per rank (runtime::launch_ranks); re-throws the first rank
+  /// exception after every rank returned.
   void run(const std::function<void(NetCtx&)>& fn);
 
   [[nodiscard]] NetFabric& fabric() noexcept { return fabric_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -12,16 +11,7 @@
 namespace cmpi::fabric {
 
 void PodCtx::cluster_barrier() {
-  // NetCtx-style two-phase clock board: deposit, sync, take the max, sync
-  // (so no one overwrites the board before everyone has read it).
-  (*clock_board_)[static_cast<std::size_t>(grank_)] = rc_->clock().now();
-  sync_->arrive_and_wait();
-  simtime::Ns horizon = 0;
-  for (const simtime::Ns t : *clock_board_) {
-    horizon = std::max(horizon, t);
-  }
-  sync_->arrive_and_wait();
-  rc_->clock().observe(horizon);
+  barrier_->enter(static_cast<unsigned>(grank_), rc_->clock());
 }
 
 PodCluster::PodCluster(const PodClusterConfig& config) : config_(config) {}
@@ -98,47 +88,42 @@ Result<std::unique_ptr<PodCluster>> PodCluster::create(
 }
 
 void PodCluster::run(const std::function<void(PodCtx&)>& fn) {
-  const int pods = config_.topo.pods;
-  const int nranks = config_.topo.nranks();
-  std::barrier<> sync(nranks);
-  std::vector<simtime::Ns> clock_board(static_cast<std::size_t>(nranks), 0);
-
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> hosts;
-  hosts.reserve(static_cast<std::size_t>(pods));
-  for (int p = 0; p < pods; ++p) {
-    hosts.emplace_back([&, p] {
-      try {
-        universes_[static_cast<std::size_t>(p)]->run(
+  const runtime::PodTopology& topo = config_.topo;
+  const auto nranks = static_cast<unsigned>(topo.nranks());
+  runtime::ClockBarrier barrier(nranks);
+  const std::exception_ptr error = runtime::launch_ranks(
+      nranks,
+      [&](unsigned g) {
+        const int grank = static_cast<int>(g);
+        universes_[static_cast<std::size_t>(topo.pod_of(grank))]->run_rank(
+            static_cast<unsigned>(topo.local_of(grank)),
             [&](runtime::RankCtx& rc) {
               p2p::Endpoint ep = p2p::Endpoint::create(rc);
               PodCtx ctx;
               ctx.rc_ = &rc;
               ctx.ep_ = &ep;
               ctx.fabric_ = fabric_.get();
-              ctx.grank_ = config_.topo.global_rank(p, rc.rank());
-              ctx.sync_ = &sync;
-              ctx.clock_board_ = &clock_board;
+              ctx.grank_ = grank;
+              ctx.barrier_ = &barrier;
               fn(ctx);
             });
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
+      },
+      [this] {
+        // A failed rank may hold up peers in its own pod and, through the
+        // routers, in every other one.
+        for (const auto& u : universes_) {
+          u->doorbell().ring();
         }
-        // Wake fabric waiters so sibling pods blocked on cross-pod recvs
-        // can re-check their predicates instead of sleeping to the
-        // recheck interval.
         fabric_->doorbell().ring();
-      }
-    });
+      });
+  for (const auto& u : universes_) {
+    u->finish_run();
   }
-  for (auto& h : hosts) {
-    h.join();
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
+  // Write the telemetry artifacts even when re-throwing, as
+  // runtime::Universe::run does.
+  obs::export_artifacts();
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -3,10 +3,11 @@
 //
 // PodCluster owns one Universe per pod (each with its own DaxDevice — the
 // pools are physically separate; that is the point) and a PodFabric for
-// the cross-pod tier. run(fn) starts every pod's rank threads and hands
-// each rank a PodCtx carrying both tiers: the pod-local p2p::Endpoint
-// (CXL pool) and the fabric (router path). Global ranks are pod-major
-// (runtime::PodTopology).
+// the cross-pod tier. run(fn) starts the ranks of every pod in one
+// runtime::launch_ranks call, runs each through its pod's per-rank steps,
+// and hands each rank a PodCtx carrying both tiers: the pod-local
+// p2p::Endpoint (CXL pool) and the fabric (router path). Global ranks are
+// pod-major (runtime::PodTopology).
 //
 // Fault containment: each pod's fault plan addresses global rank ids
 // (fault_rank_base = pod * ranks_per_pod), crashes are absorbed at the
@@ -16,18 +17,17 @@
 // failure domains) never notice.
 #pragma once
 
-#include <barrier>
 #include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "common/status.hpp"
 #include "fabric/pod_fabric.hpp"
 #include "p2p/endpoint.hpp"
+#include "runtime/launch.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/universe.hpp"
 
@@ -99,8 +99,7 @@ class PodCtx {
   p2p::Endpoint* ep_ = nullptr;
   PodFabric* fabric_ = nullptr;
   int grank_ = 0;
-  std::barrier<>* sync_ = nullptr;
-  std::vector<simtime::Ns>* clock_board_ = nullptr;
+  runtime::ClockBarrier* barrier_ = nullptr;
 };
 
 class PodCluster {
@@ -111,9 +110,11 @@ class PodCluster {
   static Result<std::unique_ptr<PodCluster>> create(
       const PodClusterConfig& config);
 
-  /// One thread per rank across every pod; blocks until all return.
-  /// Scripted rank crashes are absorbed per pod (runtime::Universe); the
-  /// first other exception is re-thrown after all pods finish.
+  /// One thread per rank across every pod (runtime::launch_ranks); blocks
+  /// until all return. Scripted rank crashes are absorbed per pod
+  /// (runtime::Universe); a rank's other exception wakes every pod's
+  /// doorbell and the fabric's at once, and the first one is re-thrown
+  /// after every rank of every pod returned.
   void run(const std::function<void(PodCtx&)>& fn);
 
   [[nodiscard]] const runtime::PodTopology& topology() const noexcept {

@@ -173,14 +173,6 @@ Result<PodRecvInfo> PodFabric::recv(simtime::VClock& clock, int me, int src,
   return PodRecvInfo{got.src, got.tag, got.data.size()};
 }
 
-bool PodFabric::poll(int me, int src, int tag) {
-  std::lock_guard lock(mutex_);
-  const auto& box = inboxes_[static_cast<std::size_t>(me)];
-  return std::any_of(box.begin(), box.end(), [&](const Msg& m) {
-    return (src < 0 || m.src == src) && (tag < 0 || m.tag == tag);
-  });
-}
-
 void PodFabric::reset_timing() {
   for (auto& e : egress_) {
     e->reset();

@@ -99,9 +99,6 @@ class PodFabric {
   Result<PodRecvInfo> recv(simtime::VClock& clock, int me, int src, int tag,
                            std::span<std::byte> data);
 
-  /// True if a matching message is queued (no time charge, no blocking).
-  bool poll(int me, int src, int tag);
-
   /// Installed by PodCluster: returns true when `pod`'s router rank is
   /// known to have failed. Sends/recvs crossing that pod fail fast.
   void set_router_down_probe(std::function<bool(int pod)> probe);

@@ -164,7 +164,8 @@ class SpanGuard {
 
 /// Write the configured teardown artifacts (CMPI_METRICS / CMPI_TRACE
 /// files). Overwrites: the recorder state is cumulative, so the last
-/// writer produces the complete picture. Called by Universe::run().
+/// writer produces the complete picture. Called once at the teardown of
+/// runtime::Universe::run() and of fabric::PodCluster::run().
 void export_artifacts();
 
 }  // namespace cmpi::obs

@@ -1653,6 +1653,17 @@ Status Endpoint::wait_for(const RequestPtr& request,
     }
     detector.beat(ctx_->acc());
     Status alive = check_request_liveness(*request);
+    if (!alive.is_ok() && request->kind == Request::Kind::kRecv) {
+      // A convicted peer publishes nothing more, but what it published
+      // before dying may sit behind a lost doorbell hint that progress()
+      // skipped: drain its ring once before giving up on the receive.
+      while (drain_source(request->peer, kReapBatchCells).more) {
+      }
+      if (request->complete_) {
+        break;
+      }
+      alive = check_request_liveness(*request);
+    }
     if (!alive.is_ok()) {
       // A dead peer cancels unconditionally — there is no live consumer
       // left for a partially-staged send to corrupt.

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 
 #include "common/align.hpp"
 #include "cxlsim/accessor.hpp"
@@ -58,19 +59,8 @@ class Doorbell {
   /// least every recheck interval).
   template <typename Pred>
   void wait_until(Pred pred) {
-    if (pred()) {
-      return;
-    }
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      const std::uint64_t seen = generation_;
-      lock.unlock();
-      if (pred()) {
-        return;
-      }
-      lock.lock();
-      cv_.wait_for(lock, recheck_, [&] { return generation_ != seen; });
-    }
+    (void)wait_until(std::move(pred),
+                     std::chrono::steady_clock::time_point::max());
   }
 
   /// Deadline overload: block until `pred()` is true or `deadline` passes.
@@ -104,10 +94,10 @@ class Doorbell {
 
   /// Arm a wait: the current generation, to pass to wait_past() AFTER
   /// re-checking the wake condition. The epoch/wait_past pair closes the
-  /// classic check-then-sleep race that wait_once() has: a ring landing
-  /// between the caller's last condition check and the sleep bumps the
-  /// generation past `seen`, so wait_past returns immediately instead of
-  /// stalling a full recheck interval.
+  /// classic check-then-sleep race: a ring landing between the caller's
+  /// last condition check and the sleep bumps the generation past `seen`,
+  /// so wait_past returns immediately instead of stalling a full recheck
+  /// interval.
   [[nodiscard]] std::uint64_t epoch() {
     std::lock_guard lock(mutex_);
     return generation_;
@@ -120,14 +110,6 @@ class Doorbell {
     std::unique_lock lock(mutex_);
     cv_.wait_for(lock, recheck_, [&] { return generation_ != seen; });
   }
-
-  /// Block until the next ring (or one recheck interval), whichever comes
-  /// first. CAUTION: the generation is snapshotted *inside* this call, so
-  /// a ring between the caller's last condition check and this call is
-  /// absorbed silently — a check-then-sleep caller can stall one full
-  /// recheck interval per lost wake-up. Use epoch()/wait_past() for
-  /// condition-driven loops; this remains only as a plain bounded sleep.
-  void wait_once() { wait_past(epoch()); }
 
  private:
   std::mutex mutex_;

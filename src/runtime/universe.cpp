@@ -5,12 +5,12 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/log.hpp"
 #include "cxlsim/coherence_checker.hpp"
 #include "obs/obs.hpp"
 #include "runtime/config_validate.hpp"
+#include "runtime/launch.hpp"
 #include "runtime/pool_recovery.hpp"
 
 namespace cmpi::runtime {
@@ -176,111 +176,111 @@ void Universe::configure_accessor(cxlsim::Accessor& acc) noexcept {
 }
 
 void Universe::run(const std::function<void(RankCtx&)>& fn) {
-  const unsigned nranks = config_.nranks();
-  std::vector<std::thread> threads;
-  threads.reserve(nranks);
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
+  const std::exception_ptr error = launch_ranks(
+      config_.nranks(), [&](unsigned r) { run_rank(r, fn); },
+      [this] { doorbell_.ring(); });
+  finish_run();
+  // Write CMPI_METRICS / CMPI_TRACE artifacts even when re-throwing — a
+  // failed run is exactly when the telemetry is wanted.
+  obs::export_artifacts();
+  if (error) {
+    std::rethrow_exception(error);
+  }
+}
 
-  for (unsigned r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      RankCtx ctx;
-      ctx.rank_ = static_cast<int>(r);
-      ctx.nranks_ = static_cast<int>(nranks);
-      ctx.node_ = static_cast<int>(r / config_.ranks_per_node);
-      ctx.doorbell_ = &doorbell_;
-      ctx.device_ = device_.get();
-      ctx.config_ = &config_;
-      ctx.incarnations_ = &incarnations_;
-      ctx.recovery_counters_ = recovery_counters_.get();
-      ctx.barrier_base_ = barrier_base_;
-      ctx.recovery_base_ = recovery_base_;
-      ctx.doorbell_base_ = doorbell_base_;
-      ctx.acc_ = std::make_unique<cxlsim::Accessor>(
-          *device_, *node_caches_[static_cast<std::size_t>(ctx.node_)],
-          ctx.clock_);
-      configure_accessor(*ctx.acc_);
-      cxlsim::CoherenceChecker::set_current_rank(static_cast<int>(r));
-      cxlsim::FaultInjector::set_current_rank(static_cast<int>(r));
-      cxlsim::FaultInjector::set_rank_base(config_.fault_rank_base);
-      // Rank/node/clock context for the obs layer (metrics shard, trace
-      // ring, log prefix); torn down when the thread leaves the lambda.
-      obs::RankScope obs_scope(ctx.rank_, ctx.node_, &ctx.clock_,
-                               config_.tenant_id);
-      try {
-        // Arena participants are ranks: a rank that died holding the
-        // arena lock must not stall the attach of a late-starting peer.
-        const cxlsim::FaultInjector* injector = device_->fault_injector();
-        ctx.arena_ = std::make_unique<arena::Arena>(check_ok(
-            arena::Arena::attach(*ctx.acc_, arena_base_, r, incarnations_[r],
-                                 [injector](std::size_t participant) {
-                                   return injector != nullptr &&
-                                          injector->rank_crashed(
-                                              static_cast<int>(participant));
-                                 })));
-        ctx.init_barrier_ = std::make_unique<SeqBarrier>(
-            *ctx.acc_, barrier_base_, nranks, r);
-        ctx.detector_ = std::make_unique<FailureDetector>(
-            hb_base_, nranks, r, config_.failure_lease);
-        tls_ctx = &ctx;
-        fn(ctx);
-      } catch (const cxlsim::RankCrashed& crash) {
-        // Scripted fault, not a bug: the rank's "host" died. It stops
-        // beating its heartbeat and never reaches another sync point; the
-        // survivors detect it via their leases. Recorded by the injector,
-        // reported in teardown — deliberately NOT re-thrown as the run's
-        // error.
-        log_warn("universe: rank %d crashed (fault injection): %s",
-                 crash.rank(), crash.what());
-        {
-          // When the last rank of a node dies the simulated host is gone:
-          // its private cache's dirty lines vanish with it. DROP them —
-          // writing them back would leak post-crash state into the pool.
-          std::lock_guard lock(failures_mutex_);
-          rank_crashed_[r] = true;
-          const auto node = static_cast<std::size_t>(ctx.node_);
-          bool all_dead = true;
-          for (unsigned rr = static_cast<unsigned>(node) *
-                             config_.ranks_per_node;
-               rr < (static_cast<unsigned>(node) + 1) * config_.ranks_per_node;
-               ++rr) {
-            all_dead = all_dead && rank_crashed_[rr];
-          }
-          if (all_dead) {
-            node_dead_[node] = true;
-            node_caches_[node]->drop_all();
-          }
-        }
-        doorbell_.ring();
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        // Wake any ranks blocked on this one.
-        doorbell_.ring();
+void Universe::run_rank(unsigned r, const std::function<void(RankCtx&)>& fn) {
+  const unsigned nranks = config_.nranks();
+  RankCtx ctx;
+  ctx.rank_ = static_cast<int>(r);
+  ctx.nranks_ = static_cast<int>(nranks);
+  ctx.node_ = static_cast<int>(r / config_.ranks_per_node);
+  ctx.doorbell_ = &doorbell_;
+  ctx.device_ = device_.get();
+  ctx.config_ = &config_;
+  ctx.incarnations_ = &incarnations_;
+  ctx.recovery_counters_ = recovery_counters_.get();
+  ctx.barrier_base_ = barrier_base_;
+  ctx.recovery_base_ = recovery_base_;
+  ctx.doorbell_base_ = doorbell_base_;
+  ctx.acc_ = std::make_unique<cxlsim::Accessor>(
+      *device_, *node_caches_[static_cast<std::size_t>(ctx.node_)],
+      ctx.clock_);
+  configure_accessor(*ctx.acc_);
+  cxlsim::CoherenceChecker::set_current_rank(static_cast<int>(r));
+  cxlsim::FaultInjector::set_current_rank(static_cast<int>(r));
+  cxlsim::FaultInjector::set_rank_base(config_.fault_rank_base);
+  // Rank/node/clock context for the obs layer (metrics shard, trace ring,
+  // log prefix); torn down when the rank leaves this function.
+  obs::RankScope obs_scope(ctx.rank_, ctx.node_, &ctx.clock_,
+                           config_.tenant_id);
+  std::exception_ptr error;
+  try {
+    // Arena participants are ranks: a rank that died holding the arena
+    // lock must not stall the attach of a late-starting peer.
+    const cxlsim::FaultInjector* injector = device_->fault_injector();
+    ctx.arena_ = std::make_unique<arena::Arena>(check_ok(
+        arena::Arena::attach(*ctx.acc_, arena_base_, r, incarnations_[r],
+                             [injector](std::size_t participant) {
+                               return injector != nullptr &&
+                                      injector->rank_crashed(
+                                          static_cast<int>(participant));
+                             })));
+    ctx.init_barrier_ =
+        std::make_unique<SeqBarrier>(*ctx.acc_, barrier_base_, nranks, r);
+    ctx.detector_ = std::make_unique<FailureDetector>(hb_base_, nranks, r,
+                                                      config_.failure_lease);
+    tls_ctx = &ctx;
+    fn(ctx);
+  } catch (const cxlsim::RankCrashed& crash) {
+    // Scripted fault, not a bug: the rank's "host" died. It stops beating
+    // its heartbeat and never reaches another sync point; the survivors
+    // detect it via their leases. Recorded by the injector, reported in
+    // teardown — deliberately NOT re-thrown as the run's error.
+    log_warn("universe: rank %d crashed (fault injection): %s", crash.rank(),
+             crash.what());
+    {
+      // When the last rank of a node dies the simulated host is gone: its
+      // private cache's dirty lines vanish with it. DROP them — writing
+      // them back would leak post-crash state into the pool.
+      std::lock_guard lock(failures_mutex_);
+      rank_crashed_[r] = true;
+      const auto node = static_cast<std::size_t>(ctx.node_);
+      bool all_dead = true;
+      for (unsigned rr = static_cast<unsigned>(node) * config_.ranks_per_node;
+           rr < (static_cast<unsigned>(node) + 1) * config_.ranks_per_node;
+           ++rr) {
+        all_dead = all_dead && rank_crashed_[rr];
       }
-      // Fold this rank's liveness verdicts into the universe-level record
-      // (survives the RankCtx, which dies with the thread).
-      if (ctx.detector_ != nullptr) {
-        const auto dead = ctx.detector_->failed_ranks();
-        if (!dead.empty()) {
-          std::lock_guard lock(failures_mutex_);
-          for (int d : dead) {
-            if (std::find(detected_failures_.begin(),
-                          detected_failures_.end(),
-                          d) == detected_failures_.end()) {
-              detected_failures_.push_back(d);
-            }
-          }
+      if (all_dead) {
+        node_dead_[node] = true;
+        node_caches_[node]->drop_all();
+      }
+    }
+    doorbell_.ring();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Fold this rank's liveness verdicts into the universe-level record
+  // (survives the RankCtx, which dies with this call).
+  if (ctx.detector_ != nullptr) {
+    const auto dead = ctx.detector_->failed_ranks();
+    if (!dead.empty()) {
+      std::lock_guard lock(failures_mutex_);
+      for (int d : dead) {
+        if (std::find(detected_failures_.begin(), detected_failures_.end(),
+                      d) == detected_failures_.end()) {
+          detected_failures_.push_back(d);
         }
       }
-      tls_ctx = nullptr;
-    });
+    }
   }
-  for (auto& t : threads) {
-    t.join();
+  tls_ctx = nullptr;
+  if (error) {
+    std::rethrow_exception(error);
   }
+}
+
+void Universe::finish_run() {
   // Leave the pool coherent for the next run() or for inspection. Dead
   // nodes' caches are dropped, not flushed: a crashed host never gets to
   // write back its dirty lines.
@@ -343,12 +343,6 @@ void Universe::run(const std::function<void(RankCtx&)>& fn) {
   }
   if (any_failed) {
     CMPI_OBS_FLIGHT("universe: teardown with failed ranks");
-  }
-  // Write CMPI_METRICS / CMPI_TRACE artifacts even when re-throwing — a
-  // failed run is exactly when the telemetry is wanted.
-  obs::export_artifacts();
-  if (first_error) {
-    std::rethrow_exception(first_error);
   }
 }
 

@@ -13,13 +13,15 @@
 //   [doorbell_base, ) aggregated p2p doorbell matrix (AggDoorbell)
 //   [arena_base, )    CXL SHM Arena — every queue/window/flag object
 //
-// Universe::run(fn) launches one thread per rank, builds each rank's
-// context (accessor over the node cache, virtual clock, attached arena)
-// and calls fn. Exceptions in any rank are re-thrown after join — except
-// scripted rank crashes (cxlsim::RankCrashed from the fault injector),
-// which model a died host: the rank simply stops, the survivors keep
-// running, and the crash is reported in the teardown summary and via
-// failed_ranks() instead of being re-thrown.
+// Universe::run(fn) starts its ranks through runtime::launch_ranks (one
+// thread per rank), builds each rank's context (accessor over the node
+// cache, virtual clock, attached arena) and calls fn. Exceptions in any
+// rank are re-thrown after join — except scripted rank crashes
+// (cxlsim::RankCrashed from the fault injector), which model a died host:
+// the rank simply stops, the survivors keep running, and the crash is
+// reported in the teardown summary and via failed_ranks() instead of being
+// re-thrown. fabric::PodCluster launches the ranks of all its pods in one
+// call through the same per-rank and teardown steps.
 #pragma once
 
 #include <atomic>
@@ -42,6 +44,10 @@
 #include "runtime/seq_barrier.hpp"
 #include "simtime/vclock.hpp"
 #include "tune/options.hpp"
+
+namespace cmpi::fabric {
+class PodCluster;
+}  // namespace cmpi::fabric
 
 namespace cmpi::runtime {
 
@@ -223,7 +229,7 @@ class RankCtx {
     clock_.advance(config_->mpi_call_overhead);
   }
 
-  /// The context of the calling rank thread (nullptr outside Universe::run).
+  /// The context of the calling rank thread (nullptr off a rank thread).
   static RankCtx* current() noexcept;
 
  private:
@@ -252,8 +258,9 @@ class Universe {
  public:
   explicit Universe(const UniverseConfig& config);
 
-  /// Launch one thread per rank and run `fn` in each. Blocks until all
-  /// ranks return; the first rank exception (if any) is re-thrown.
+  /// Launch one thread per rank (runtime::launch_ranks) and run `fn` in
+  /// each. Blocks until all ranks return; the first rank exception (if
+  /// any) is re-thrown.
   void run(const std::function<void(RankCtx&)>& fn);
 
   [[nodiscard]] cxlsim::DaxDevice& device() noexcept { return *device_; }
@@ -346,9 +353,22 @@ class Universe {
   /// 4 KiB is the bootstrap page).
   static constexpr std::uint64_t kBarrierOffset = 4096;
 
+  // PodCluster launches the ranks of all its pods in one call.
+  friend class fabric::PodCluster;
+
   /// Apply this universe's tenant attribution to an accessor: WFQ
   /// bandwidth class and, in service mode, the region fault-domain fence.
   void configure_accessor(cxlsim::Accessor& acc) noexcept;
+
+  /// Rank `r`'s whole life on the calling thread: build its context, run
+  /// `fn`, absorb a scripted crash and fold the rank's detector verdicts
+  /// into the universe record. Any other exception is re-thrown.
+  void run_rank(unsigned r, const std::function<void(RankCtx&)>& fn);
+
+  /// Teardown after every rank returned: write back (or, for dead nodes,
+  /// drop) the node caches and log the checker, injector and detector
+  /// records.
+  void finish_run();
 
   UniverseConfig config_;
   std::shared_ptr<cxlsim::DaxDevice> device_;

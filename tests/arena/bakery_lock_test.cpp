@@ -115,24 +115,6 @@ TEST_F(BakeryLockTest, SingleParticipantLockUnlock) {
   lock.unlock(*r.acc, 0);
 }
 
-TEST_F(BakeryLockTest, TryLockSucceedsUncontended) {
-  Rank r = make_rank();
-  const auto lock = BakeryLock::format(*r.acc, 0, 4);
-  EXPECT_TRUE(lock.try_lock(*r.acc, 1));
-  lock.unlock(*r.acc, 1);
-}
-
-TEST_F(BakeryLockTest, TryLockFailsWhenHeld) {
-  Rank a = make_rank();
-  Rank b = make_rank();
-  const auto lock = BakeryLock::format(*a.acc, 0, 4);
-  lock.lock(*a.acc, 0);
-  EXPECT_FALSE(lock.try_lock(*b.acc, 1));
-  lock.unlock(*a.acc, 0);
-  EXPECT_TRUE(lock.try_lock(*b.acc, 1));
-  lock.unlock(*b.acc, 1);
-}
-
 TEST_F(BakeryLockTest, MutualExclusionUnderContention) {
   // N rank threads (each its own node/cache — the cross-node case) hammer
   // a shared plain counter guarded only by the bakery lock. The counter

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace cmpi::fabric {
@@ -190,6 +194,21 @@ TEST(NetFabric, BarrierSynchronizesVirtualTime) {
     ctx.barrier();
     EXPECT_GE(ctx.clock().now(), 9e6);
   });
+}
+
+TEST(NetUniverse, RankErrorIsRethrownAfterEveryRankReturns) {
+  NetUniverse universe(config_for(2, 2));
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      universe.run([&](NetCtx& ctx) {
+        if (ctx.rank() == 1) {
+          throw std::runtime_error("rank 1 failed");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      }),
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(NetWindow, PutPscwRoundTrip) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "fabric/pod_cluster.hpp"
 #include "fabric/profiles.hpp"
 #include "simtime/vclock.hpp"
 
@@ -229,6 +236,73 @@ TEST(PodFabric, RouterDownFailsFast) {
   std::vector<std::byte> got(8);
   EXPECT_EQ(fabric->recv(clock, 3, 1, 99, got).status().code(),
             ErrorCode::kPeerFailed);
+}
+
+// ---- PodCluster: one launch for every rank of every pod ----
+
+PodClusterConfig cluster_for(int pods, int ranks_per_pod) {
+  PodClusterConfig cfg;
+  cfg.topo = config_for(pods, ranks_per_pod).topo;
+  cfg.pod.nodes = 1;
+  cfg.pod.ranks_per_node = static_cast<unsigned>(ranks_per_pod);
+  cfg.pod.pool_size = 32_MiB;
+  cfg.pod.arena_params.levels = 4;
+  cfg.pod.arena_params.level1_buckets = 61;
+  return cfg;
+}
+
+std::ptrdiff_t host_threads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+/// host_threads() once two reads 1 ms apart agree: a thread an earlier test
+/// joined can linger in the task list for a moment after its join.
+std::ptrdiff_t settled_host_threads() {
+  std::ptrdiff_t last = host_threads();
+  for (int i = 0; i < 1000; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::ptrdiff_t now = host_threads();
+    if (now == last) {
+      break;
+    }
+    last = now;
+  }
+  return last;
+}
+
+TEST(PodCluster, RunsOneHostThreadPerRank) {
+  const auto cfg = cluster_for(3, 2);
+  auto cluster = check_ok(PodCluster::create(cfg));
+  // A sanitizer runtime may start a helper thread along with the first
+  // thread a process creates: let that happen before the baseline count.
+  std::thread([] {}).join();
+  const std::ptrdiff_t before = settled_host_threads();
+  std::atomic<std::ptrdiff_t> during{0};
+  cluster->run([&](PodCtx& ctx) {
+    // Between two cluster barriers every rank thread is alive.
+    ctx.cluster_barrier();
+    if (ctx.grank() == 0) {
+      during = host_threads();
+    }
+    ctx.cluster_barrier();
+  });
+  EXPECT_EQ(during.load() - before, cfg.topo.nranks());
+}
+
+TEST(PodCluster, RankErrorIsRethrownAfterEveryRankReturns) {
+  auto cluster = check_ok(PodCluster::create(cluster_for(2, 2)));
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      cluster->run([&](PodCtx& ctx) {
+        if (ctx.grank() == 3) {
+          throw std::runtime_error("rank 3 failed");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      }),
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
 }
 
 }  // namespace

@@ -116,9 +116,7 @@ TEST(Rendezvous, UnexpectedArrivalPullsOnMatch) {
       EXPECT_EQ(ep.debug_queue_sizes().rendezvous_inflight, 0u);
     } else {
       // Let the whole message land unexpected before posting the receive.
-      while (!ep.iprobe(0, 2).has_value()) {
-        ctx.doorbell().wait_once();
-      }
+      ctx.doorbell().wait_until([&] { return ep.iprobe(0, 2).has_value(); });
       std::vector<std::byte> buf(data.size());
       check_ok(ep.recv(0, 2, buf));
       EXPECT_EQ(buf, data);

@@ -89,12 +89,15 @@ TEST(Doorbell, WaitPastReturnsImmediatelyAfterInterveningRing) {
 
 TEST(Doorbell, WaitPastSleepsWhenNothingRangSinceArming) {
   // Control: with no intervening ring, wait_past really does sleep (until
-  // the recheck interval or a later ring) instead of spinning through.
+  // the recheck interval or a later ring) instead of spinning through —
+  // and no longer than about one recheck interval.
   Doorbell bell(30ms);
   const std::uint64_t armed = bell.epoch();
   const auto start = std::chrono::steady_clock::now();
   bell.wait_past(armed);
-  EXPECT_GE(std::chrono::steady_clock::now() - start, 25ms);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, 25ms);
+  EXPECT_LT(elapsed, 30ms + 100ms);
 }
 
 TEST(Doorbell, SeededStressNoLostWakeups) {

@@ -236,6 +236,51 @@ TEST(PoolRecoveryScavenge, SlotWalkBeatsWhileHoldingTheLock) {
   });
 }
 
+TEST(PoolRecoveryScavenge, RecvDrainsADeadSendersRingBeforeGivingUp) {
+  // Rank 1 publishes a whole message, loses the doorbell hint that
+  // announces it, and falls silent. The receiver convicts it one lease
+  // later, long before progress() comes round to its periodic full ring
+  // scan (every 64th call, about 64 ms when idle): the receive must still
+  // deliver what the corpse published before it died.
+  runtime::UniverseConfig cfg = recovery_config();
+  cfg.failure_lease = 20ms;
+  runtime::Universe universe(cfg);
+  const std::vector<std::byte> msg = patterned(256, 11);
+  std::atomic<bool> armed{false};
+  std::atomic<bool> sent{false};
+  std::atomic<bool> done{false};
+
+  universe.run([&](runtime::RankCtx& ctx) {
+    p2p::Endpoint ep = p2p::Endpoint::create(ctx);
+    if (ctx.rank() == 1) {
+      while (!armed.load()) {
+        std::this_thread::yield();
+      }
+      check_ok(ep.send(0, 4, msg));
+      runtime::AggDoorbell(ctx.doorbell_base(), ctx.nranks())
+          .ring(ctx.acc(), /*receiver=*/0, /*sender=*/1, 0);
+      sent = true;
+      // Silent: no heartbeat, no ring, until the receiver is done.
+      while (!done.load()) {
+        std::this_thread::sleep_for(1ms);
+      }
+      return;
+    }
+    // The first pass visits every peer and leaves the hint seen at 0, the
+    // value the sender rolls its slot back to.
+    ep.progress();
+    armed = true;
+    while (!sent.load()) {
+      std::this_thread::yield();
+    }
+    std::vector<std::byte> buf(msg.size());
+    const auto r = ep.recv_for(1, 4, buf, 10000ms);
+    done = true;
+    ASSERT_TRUE(r.is_ok()) << r.status().message();
+    EXPECT_EQ(buf, msg);
+  });
+}
+
 // ---------------------------------------------------------------------
 // Respawn: incarnation-fenced rejoin.
 
