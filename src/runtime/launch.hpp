@@ -1,8 +1,9 @@
 // Host-side rank plumbing shared by every simulated universe.
 //
 // runtime::Universe, fabric::NetUniverse and fabric::PodCluster all start
-// their ranks through launch_ranks, so one function owns how a rank thread
-// starts, how its error is captured and how its blocked peers are woken.
+// their ranks through launch_ranks, and simnet::SimEngine its processes,
+// so one function owns how a rank thread starts, how its error is
+// captured and how its blocked peers are woken.
 // ClockBarrier is the virtual-time barrier of the universes whose ranks
 // share no pool (the modeled network and the cross-pod tier).
 #pragma once

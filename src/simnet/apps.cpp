@@ -30,8 +30,7 @@ namespace {
 class Cluster {
  public:
   Cluster(SimEngine& engine, const ClusterConfig& config)
-      : engine_(engine),
-        config_(config),
+      : config_(config),
         nranks_(config.nodes * config.ranks_per_node),
         pods_(config.pods()),
         ranks_per_pod_(nranks_ / pods_),
@@ -112,33 +111,10 @@ class Cluster {
                config_.transport.inter_bytes_per_ns;
   }
 
-  /// One-directional instrumented send (uninstrumented cost is the
-  /// receiver's). Cross-pod messages stage to the router first.
-  void send_to(SimProcess& self, int peer, std::size_t bytes, int tag) {
-    const simtime::Ns before = self.now();
-    if (cross_pod(self.id(), peer)) {
-      self.delay(router_hop_ns(bytes));
-      wait_router(self, pod_of(self.id()));
-    }
-    self.send(peer, tag, bytes, link_between(self.id(), peer));
-    comm_ns_[static_cast<std::size_t>(self.id())] += self.now() - before;
-  }
-
-  /// One-directional instrumented receive. Cross-pod messages pay the
-  /// destination router's forwarding + the hop into the pod.
-  void recv_from(SimProcess& self, int peer, std::size_t bytes, int tag) {
-    const simtime::Ns before = self.now();
-    (void)self.recv(peer, tag);
-    if (cross_pod(self.id(), peer)) {
-      wait_router(self, pod_of(self.id()));
-      self.delay(router_hop_ns(bytes));
-    }
-    comm_ns_[static_cast<std::size_t>(self.id())] += self.now() - before;
-  }
-
-  /// Instrumented simultaneous exchange with `peer`.
-  void sendrecv(SimProcess& self, int peer, std::size_t bytes, int tag) {
-    const simtime::Ns before = self.now();
+  /// Uninstrumented simultaneous exchange with `peer`. A cross-pod
+  /// message stages to the local router first, and the reply pays the
+  /// receiving router's forwarding plus the hop back into the pod.
+  void exchange(SimProcess& self, int peer, std::size_t bytes, int tag) {
     const bool cross = cross_pod(self.id(), peer);
     if (cross) {
       self.delay(router_hop_ns(bytes));
@@ -150,6 +126,12 @@ class Cluster {
       wait_router(self, pod_of(self.id()));
       self.delay(router_hop_ns(bytes));
     }
+  }
+
+  /// Instrumented simultaneous exchange with `peer`.
+  void sendrecv(SimProcess& self, int peer, std::size_t bytes, int tag) {
+    const simtime::Ns before = self.now();
+    exchange(self, peer, bytes, tag);
     comm_ns_[static_cast<std::size_t>(self.id())] += self.now() - before;
   }
 
@@ -165,18 +147,7 @@ class Cluster {
     for (int mask = 1; mask < nranks_; mask <<= 1) {
       const int partner = self.id() ^ mask;
       if (partner < nranks_) {
-        const bool cross = cross_pod(self.id(), partner);
-        if (cross) {
-          self.delay(router_hop_ns(bytes));
-          wait_router(self, pod_of(self.id()));
-        }
-        self.send(partner, tag_base + mask, bytes,
-                  link_between(self.id(), partner));
-        (void)self.recv(partner, tag_base + mask);
-        if (cross) {
-          wait_router(self, pod_of(self.id()));
-          self.delay(router_hop_ns(bytes));
-        }
+        exchange(self, partner, bytes, tag_base + mask);
       }
     }
     comm_ns_[static_cast<std::size_t>(self.id())] += self.now() - before;
@@ -241,7 +212,6 @@ class Cluster {
   }
 
  private:
-  SimEngine& engine_;
   ClusterConfig config_;
   int nranks_;
   int pods_;

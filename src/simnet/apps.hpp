@@ -1,8 +1,7 @@
 // Application communication skeletons for the strong-scaling study
 // (paper §4.4, Fig. 10): NPB CG (class D) and miniAMR, replayed over the
 // discrete-event simulator with per-transport interconnect parameters
-// taken from the §4.2 measurements — the same methodology the paper uses
-// with SimGrid.
+// taken from Table 1 — the same methodology the paper uses with SimGrid.
 //
 // The skeletons reproduce each app's communication *pattern* and a
 // calibrated compute load, not the numerics:
@@ -21,15 +20,16 @@
 
 namespace cmpi::simnet {
 
-/// Interconnect characteristics of one transport, as measured by the OSU
-/// sweeps in this repository (bench/fig7/fig8).
+/// Interconnect characteristics of one transport: the latency and
+/// bandwidth the simulator charges per inter-node message.
 struct TransportProfile {
   std::string name;
   simtime::Ns inter_latency;    ///< small-message one-way MPI latency
   double inter_bytes_per_ns;    ///< saturated two-sided bandwidth
 };
 
-/// Defaults measured on this repository's cMPI / fabric stacks.
+/// The paper's Table 1 interconnect constants, not numbers measured on
+/// this repository's stacks (SimnetApps.ProfilesMatchTable1 pins them).
 TransportProfile cxl_shm_profile();
 TransportProfile tcp_cx6dx_profile();
 TransportProfile tcp_ethernet_profile();

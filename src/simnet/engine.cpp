@@ -1,11 +1,15 @@
 #include "simnet/engine.hpp"
 
+#include <exception>
+
 #include "common/log.hpp"
+#include "runtime/launch.hpp"
 
 namespace cmpi::simnet {
 
 namespace {
-/// Thrown inside process threads when the engine is destroyed early.
+/// Thrown inside parked processes when another process's exception aborts
+/// the run.
 struct Aborted {};
 }  // namespace
 
@@ -16,11 +20,12 @@ simtime::Ns SimProcess::now() const noexcept { return engine_->now_; }
 void SimProcess::delay(simtime::Ns dt) {
   CMPI_EXPECTS(dt >= 0);
   engine_->schedule_wake(*this, engine_->now_ + dt);
-  std::unique_lock lock(mutex_);
-  engine_->park(*this, lock);
+  park();
 }
 
 void SimProcess::send(int dst, int tag, std::size_t bytes, Link* link) {
+  CMPI_EXPECTS(dst >= 0 &&
+               dst < static_cast<int>(engine_->processes_.size()));
   const simtime::Ns delivered =
       link != nullptr ? link->transit(engine_->now_, bytes) : engine_->now_;
   engine_->mail_[{dst, id_, tag}].push_back(
@@ -36,36 +41,30 @@ std::size_t SimProcess::recv(int src, int tag) {
     if (msg.delivered > engine_->now_) {
       // Arrived in the simulated future: wait for it.
       engine_->schedule_wake(*this, msg.delivered);
-      std::unique_lock lock(mutex_);
-      engine_->park(*this, lock);
+      park();
     }
     return msg.bytes;
   }
   // Nothing queued: park until a matching delivery.
-  engine_->recv_waiters_[id_] = this;
-  engine_->recv_filters_[id_] = {src, tag};
-  std::unique_lock lock(mutex_);
-  engine_->park(*this, lock);
-  // The engine moved the matched message into pending_.
+  recv_filter_ = {src, tag};
+  park();
+  // The engine moved the matched message's size into pending_bytes_.
   return pending_bytes_;
 }
 
-// ---------------- SimEngine ----------------
+void SimProcess::park() {
+  engine_->resume_next(*this);
+  wait_for_control();
+}
 
-SimEngine::~SimEngine() {
-  // Wake any still-parked processes so their threads can exit.
-  aborting_ = true;
-  for (auto& process : processes_) {
-    std::lock_guard lock(process->mutex_);
-    process->runnable_ = true;
-    process->cv_.notify_all();
-  }
-  for (auto& thread : threads_) {
-    if (thread.joinable()) {
-      thread.join();
-    }
+void SimProcess::wait_for_control() {
+  runnable_.wait(0, std::memory_order_acquire);
+  if (engine_->aborting_.load(std::memory_order_relaxed)) {
+    throw Aborted{};
   }
 }
+
+// ---------------- SimEngine ----------------
 
 Link* SimEngine::make_link(simtime::Ns latency, double bytes_per_ns) {
   links_.push_back(std::make_unique<Link>(latency, bytes_per_ns));
@@ -91,99 +90,83 @@ void SimEngine::schedule_delivery(int dst, simtime::Ns at) {
   events_.push(Event{at, seq_++, Event::Kind::kDelivery, nullptr, dst});
 }
 
-void SimEngine::park(SimProcess& process, std::unique_lock<std::mutex>& lock) {
-  process.runnable_ = false;
-  {
-    std::lock_guard engine_lock(engine_mutex_);
-    control_with_engine_ = true;
-  }
-  engine_cv_.notify_all();
-  process.cv_.wait(lock, [&] { return process.runnable_; });
-  if (aborting_) {
-    throw Aborted{};
-  }
-}
-
-void SimEngine::resume(SimProcess& process) {
-  {
-    std::lock_guard engine_lock(engine_mutex_);
-    control_with_engine_ = false;
-  }
-  {
-    std::lock_guard lock(process.mutex_);
-    process.runnable_ = true;
-  }
-  process.cv_.notify_all();
-  std::unique_lock engine_lock(engine_mutex_);
-  engine_cv_.wait(engine_lock, [&] { return control_with_engine_; });
-}
-
-simtime::Ns SimEngine::run() {
-  CMPI_EXPECTS(!started_);
-  started_ = true;
-  // Launch process threads, parked until their first wake event.
-  threads_.reserve(processes_.size());
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    SimProcess* process = processes_[i].get();
-    auto body = bodies_[i];
-    threads_.emplace_back([this, process, body] {
-      {
-        std::unique_lock lock(process->mutex_);
-        process->cv_.wait(lock, [&] { return process->runnable_; });
-      }
-      if (!aborting_) {
-        try {
-          body(*process);
-        } catch (const Aborted&) {
-          // engine teardown
-        }
-      }
-      process->finished_ = true;
-      {
-        std::lock_guard engine_lock(engine_mutex_);
-        control_with_engine_ = true;
-      }
-      engine_cv_.notify_all();
-    });
-    schedule_wake(*process, 0);
-  }
-
+SimProcess* SimEngine::next_ready() {
   while (!events_.empty()) {
     const Event event = events_.top();
     events_.pop();
     now_ = event.time;
     if (event.kind == Event::Kind::kWake) {
-      if (!event.process->finished_) {
-        resume(*event.process);
-      }
-      continue;
+      return event.process;
     }
     // Delivery: wake the dst's parked receiver if a matching message is
     // now available.
-    const auto waiter = recv_waiters_.find(event.dst);
-    if (waiter == recv_waiters_.end()) {
+    SimProcess& process = *processes_[static_cast<std::size_t>(event.dst)];
+    if (!process.recv_filter_) {
       continue;  // receiver not parked; recv() will find the message
     }
-    SimProcess* process = waiter->second;
-    const auto [src, tag] = recv_filters_.at(event.dst);
+    const auto [src, tag] = *process.recv_filter_;
     auto& queue = mail_[{event.dst, src, tag}];
     if (queue.empty() || queue.front().delivered > now_) {
       continue;
     }
-    process->pending_bytes_ = queue.front().bytes;
+    process.pending_bytes_ = queue.front().bytes;
     queue.pop_front();
-    recv_waiters_.erase(waiter);
-    recv_filters_.erase(event.dst);
-    resume(*process);
+    process.recv_filter_.reset();
+    return &process;
   }
-  // Every process must have run to completion; a parked leftover means a
-  // mismatched send/recv pairing in the model — fail loudly, not silently.
-  for (const auto& process : processes_) {
-    if (!process->finished_) {
-      log_error("simnet: process %d deadlocked (unmatched recv)",
-                process->id_);
-      CMPI_ASSERT(process->finished_);
+  return nullptr;
+}
+
+void SimEngine::resume_next(SimProcess& from) {
+  SimProcess* next = next_ready();
+  if (next == nullptr) {
+    // Every process must have run to completion; a parked leftover means
+    // a mismatched send/recv pairing in the model — fail loudly, not
+    // silently.
+    for (const auto& process : processes_) {
+      if (!process->finished_) {
+        log_error("simnet: process %d deadlocked (unmatched recv)",
+                  process->id_);
+        CMPI_ASSERT(process->finished_);
+      }
     }
+    return;
+  }
+  if (next == &from) {
+    return;  // keeps control without sleeping
+  }
+  from.runnable_.store(0, std::memory_order_relaxed);
+  next->runnable_.store(1, std::memory_order_release);
+  next->runnable_.notify_one();
+}
+
+simtime::Ns SimEngine::run() {
+  CMPI_EXPECTS(!started_);
+  started_ = true;
+  for (const auto& process : processes_) {
+    schedule_wake(*process, 0);
+  }
+  if (SimProcess* first = next_ready()) {
+    first->runnable_.store(1, std::memory_order_relaxed);
+  }
+  const std::exception_ptr error = runtime::launch_ranks(
+      static_cast<unsigned>(processes_.size()),
+      [this](unsigned i) {
+        SimProcess& process = *processes_[i];
+        process.wait_for_control();
+        bodies_[i](process);
+        process.finished_ = true;
+        resume_next(process);
+      },
+      [this] {
+        aborting_.store(true, std::memory_order_relaxed);
+        for (const auto& process : processes_) {
+          process->runnable_.store(1, std::memory_order_release);
+          process->runnable_.notify_one();
+        }
+      });
+  if (error) {
+    std::rethrow_exception(error);
   }
   return now_;
 }

@@ -7,9 +7,13 @@
 // process-interaction DES with a global simulated clock.
 //
 //   * SimEngine  — event queue ordered by (time, sequence); deterministic.
-//   * SimProcess — a simulated actor; runs on its own OS thread but the
-//     engine resumes exactly one process at a time (classic SimGrid-style
-//     cooperative execution; correct and deterministic on any core count).
+//   * SimProcess — a simulated actor on its own OS thread, started by
+//     runtime::launch_ranks. Exactly one process holds control at a time
+//     (classic SimGrid-style cooperative execution; correct and
+//     deterministic on any core count). There is no engine thread: a
+//     process that parks or finishes pops the events itself and hands
+//     control straight to the process they resume, through that
+//     process's wake word.
 //   * Link      — latency + FCFS bandwidth queueing (shared wire).
 //   * Mailbox   — (dst, tag)-addressed message queues with delivery times.
 //
@@ -17,16 +21,16 @@
 // layer builds halo exchanges and collectives on top.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <queue>
-#include <string>
-#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -75,8 +79,9 @@ class SimProcess {
   void delay(simtime::Ns dt);
 
   /// Asynchronously send `bytes` to process `dst` with `tag` over `link`
-  /// (nullptr = zero-cost local delivery). The sender continues
-  /// immediately; model sender-side CPU cost with delay() if needed.
+  /// (nullptr = zero-cost local delivery). `dst` must name a spawned
+  /// process. The sender continues immediately; model sender-side CPU
+  /// cost with delay() if needed.
   void send(int dst, int tag, std::size_t bytes, Link* link);
 
   /// Block until a message (src, tag) is delivered; returns its size.
@@ -84,21 +89,28 @@ class SimProcess {
 
  private:
   friend class SimEngine;
+  /// Hand control to the next process, then sleep until this one is
+  /// resumed (at once when the next process is this one).
+  void park();
+  /// Sleep until this process holds control; throws when the run aborts.
+  void wait_for_control();
+
   SimEngine* engine_ = nullptr;
   int id_ = 0;
   std::size_t pending_bytes_ = 0;  ///< size of the message recv matched
-
-  // Parking support.
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool runnable_ = false;
+  /// (src, tag) of the recv this process is parked in. Mailbox `dst`'s
+  /// only waiter is process `dst`, so a delivery checks just this.
+  std::optional<std::pair<int, int>> recv_filter_;
+  /// Wake word: nonzero while this process holds control (or once the run
+  /// aborts). 32 bits, not bool: libstdc++ waits on a 32-bit atomic with
+  /// a futex on the word itself, but on a bool through a shared proxy.
+  std::atomic<std::uint32_t> runnable_{0};
   bool finished_ = false;
 };
 
 class SimEngine {
  public:
   SimEngine() = default;
-  ~SimEngine();
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
@@ -109,7 +121,8 @@ class SimEngine {
   int spawn(std::function<void(SimProcess&)> fn);
 
   /// Run the simulation until every process finishes. Returns the final
-  /// simulated time.
+  /// simulated time. A process's exception comes back out of run() once
+  /// every process thread has returned.
   simtime::Ns run();
 
   [[nodiscard]] simtime::Ns now() const noexcept { return now_; }
@@ -138,30 +151,24 @@ class SimEngine {
 
   void schedule_wake(SimProcess& process, simtime::Ns at);
   void schedule_delivery(int dst, simtime::Ns at);
-  /// Run `process` on the engine thread's behalf until it parks/finishes.
-  void resume(SimProcess& process);
-  /// Called from a process thread: park until resumed. Engine regains
-  /// control.
-  void park(SimProcess& process, std::unique_lock<std::mutex>& lock);
+  /// Pop events until one resumes a process and return it; nullptr once
+  /// the queue is empty.
+  SimProcess* next_ready();
+  /// Called by `from`, which holds control and parks or has finished:
+  /// give control to the next process.
+  void resume_next(SimProcess& from);
 
   simtime::Ns now_ = 0;
   std::uint64_t seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   std::vector<std::unique_ptr<SimProcess>> processes_;
-  std::vector<std::thread> threads_;
   std::vector<std::function<void(SimProcess&)>> bodies_;
   std::vector<std::unique_ptr<Link>> links_;
-  /// Mailboxes: (dst, src, tag) -> delivered messages + waiting process.
+  /// Mailboxes: (dst, src, tag) -> delivered messages.
   std::map<std::tuple<int, int, int>, std::deque<Msg>> mail_;
-  std::map<int, SimProcess*> recv_waiters_;  // dst -> parked receiver
-  std::map<int, std::pair<int, int>> recv_filters_;  // dst -> (src, tag)
-
-  // Engine <-> process handoff.
-  std::mutex engine_mutex_;
-  std::condition_variable engine_cv_;
-  bool control_with_engine_ = true;
   bool started_ = false;
-  bool aborting_ = false;
+  /// Set when a process throws: every parked process unwinds.
+  std::atomic<bool> aborting_{false};
 };
 
 }  // namespace cmpi::simnet

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace cmpi::simnet {
@@ -169,6 +170,22 @@ TEST(SimEngine, ManyProcesses) {
   engine.run();
   // Token visits 63 ranks, each adding 10 ns.
   EXPECT_DOUBLE_EQ(ends[0], 630.0);
+}
+
+TEST(SimEngine, ThrowingProcessIsRethrownByRun) {
+  SimEngine engine;
+  bool receiver_resumed = false;
+  engine.spawn([](SimProcess& self) {
+    self.delay(10);
+    throw std::runtime_error("process 0 failed");
+  });
+  engine.spawn([&](SimProcess& self) {
+    (void)self.recv(0, 0);  // never sent: parked when process 0 throws
+    receiver_resumed = true;
+  });
+  engine.spawn([](SimProcess& self) { self.delay(5); });
+  EXPECT_THROW(engine.run(), std::runtime_error);
+  EXPECT_FALSE(receiver_resumed);
 }
 
 }  // namespace
