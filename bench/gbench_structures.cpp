@@ -1,19 +1,22 @@
 // Wall-clock microbenchmarks (google-benchmark) of the data structures on
 // the cMPI hot paths: the multi-level hash, the SPSC ring's functional
 // operations, the per-node cache simulator, and the slotted bandwidth
-// server. These measure real host CPU cost (the simulator's own speed),
-// complementing the virtual-time figure benches.
+// server, plus the set-up every run pays: arena format and a whole
+// Universe's construction. These measure real host CPU cost (the
+// simulator's own speed), complementing the virtual-time figure benches.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "arena/arena.hpp"
 #include "arena/multilevel_hash.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "cxlsim/accessor.hpp"
 #include "queue/spsc_ring.hpp"
+#include "runtime/universe.hpp"
 #include "simtime/busy_resource.hpp"
 
 namespace {
@@ -110,6 +113,35 @@ void BM_SpscRingRoundTrip(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_SpscRingRoundTrip)->Arg(64)->Arg(4096)->Arg(65536);
+
+/// Arena format at 10 levels: 1,009 level-1 buckets is the library's
+/// default, 200,000 the paper's §3.7 production table (~244 MiB).
+void BM_ArenaFormat(benchmark::State& state) {
+  arena::Arena::Params params;
+  params.level1_buckets = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t size = arena::Arena::metadata_footprint(params) + 1_MiB;
+  auto device = check_ok(cxlsim::DaxDevice::create(size));
+  cxlsim::CacheSim cache(*device);
+  simtime::VClock clock;
+  cxlsim::Accessor acc(*device, cache, clock);
+  for (auto _ : state) {
+    auto formatted = arena::Arena::format(acc, 0, size, 0, params);
+    benchmark::DoNotOptimize(formatted);
+  }
+}
+BENCHMARK(BM_ArenaFormat)->Arg(1009)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+/// A whole 2-node x 1-rank universe: construct, run an empty body, destroy.
+void BM_UniverseConstruct(benchmark::State& state) {
+  runtime::UniverseConfig cfg;
+  cfg.nodes = 2;
+  cfg.ranks_per_node = 1;
+  for (auto _ : state) {
+    runtime::Universe universe(cfg);
+    universe.run([](runtime::RankCtx&) {});
+  }
+}
+BENCHMARK(BM_UniverseConstruct)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

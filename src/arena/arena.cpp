@@ -77,17 +77,10 @@ Result<Arena> Arena::format(cxlsim::Accessor& acc, std::uint64_t base,
   header.free_head = objects_offset;
   header.max_participants = params.max_participants;
 
-  // Zero the slot region (status == free). Bulk NT stores: format is a
-  // one-time bootstrap, not a benchmarked path.
-  std::byte zeros[4096] = {};
-  std::uint64_t cleared = 0;
-  while (cleared < slots_bytes) {
-    const std::uint64_t n = std::min<std::uint64_t>(sizeof zeros,
-                                                    slots_bytes - cleared);
-    acc.nt_store(base + slots_offset + cleared,
-                 {zeros, static_cast<std::size_t>(n)});
-    cleared += n;
-  }
+  // Zero the slot region (status == free) by handing its pages back:
+  // fresh devices and recycled tenant regions alike read clean, and the
+  // charge is what NT stores of the zeros would cost.
+  acc.discard(base + slots_offset, slots_bytes);
   acc.sfence();
 
   const BakeryLock lock_view =
@@ -342,12 +335,14 @@ Result<ObjectHandle> Arena::create(std::string_view name, std::uint64_t size,
 Result<ObjectHandle> Arena::create_for(
     std::string_view name, std::uint64_t size, Ownership ownership,
     std::chrono::milliseconds timeout,
-    const BakeryLock::DeadPredicate& peer_dead) {
+    const BakeryLock::DeadPredicate& peer_dead,
+    const std::function<void()>& beat) {
   if (Status valid = validate_create_args(name, size); !valid.is_ok()) {
     return valid;
   }
   if (Status locked = lock_.lock_for(*acc_, participant_, timeout,
-                                     peer_dead ? peer_dead : nobody_dead);
+                                     peer_dead ? peer_dead : nobody_dead,
+                                     beat);
       !locked.is_ok()) {
     return locked;
   }
@@ -442,12 +437,14 @@ Status Arena::destroy(ObjectHandle& handle) {
 
 Status Arena::destroy_for(ObjectHandle& handle,
                           std::chrono::milliseconds timeout,
-                          const BakeryLock::DeadPredicate& peer_dead) {
+                          const BakeryLock::DeadPredicate& peer_dead,
+                          const std::function<void()>& beat) {
   if (!handle.open) {
     return status::closed("handle already closed");
   }
   if (Status locked = lock_.lock_for(*acc_, participant_, timeout,
-                                     peer_dead ? peer_dead : nobody_dead);
+                                     peer_dead ? peer_dead : nobody_dead,
+                                     beat);
       !locked.is_ok()) {
     return locked;
   }

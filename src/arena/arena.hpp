@@ -120,13 +120,17 @@ class Arena {
   /// path allocates per-message slots). Waits at most `timeout` for the
   /// arena lock and returns kTimedOut on expiry; `peer_dead`, when given,
   /// lets the wait break a convicted corpse's ticket instead of timing
-  /// out (see BakeryLock::lock_for).
+  /// out, and `beat` runs on each blocked wait iteration so a caller
+  /// queued behind live holders stays visibly alive (see
+  /// BakeryLock::lock_for).
   Result<ObjectHandle> create_for(
       std::string_view name, std::uint64_t size, Ownership ownership,
       std::chrono::milliseconds timeout,
-      const BakeryLock::DeadPredicate& peer_dead = {});
+      const BakeryLock::DeadPredicate& peer_dead = {},
+      const std::function<void()>& beat = {});
   Status destroy_for(ObjectHandle& handle, std::chrono::milliseconds timeout,
-                     const BakeryLock::DeadPredicate& peer_dead = {});
+                     const BakeryLock::DeadPredicate& peer_dead = {},
+                     const std::function<void()>& beat = {});
 
   // --- Introspection (tests, stats) ---
   [[nodiscard]] const MultilevelHash& index() const noexcept { return index_; }

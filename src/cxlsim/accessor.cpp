@@ -142,20 +142,33 @@ void Accessor::coherent_read(std::uint64_t offset, std::span<std::byte> dst) {
   load(offset, dst);
 }
 
+void Accessor::charge_nt_write(std::uint64_t offset, std::size_t size) {
+  const auto& p = device_.timing().params();
+  const simtime::Ns done = device_.timing().reserve_device(
+      clock_.now(), size, /*is_read=*/false, wfq_class_);
+  pending_drain_ = std::max(pending_drain_, done + p.line_write_latency);
+  writes_since_fence_ = true;
+  clock_.advance(static_cast<simtime::Ns>(lines_of(offset, size)) *
+                 p.cache_hit_latency);
+}
+
 void Accessor::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
   fault_access(offset, src.size(), /*is_read=*/false);
-  const auto& p = device_.timing().params();
   cache_.nt_store(offset, src);
   if (src.size() <= sizeof(std::uint64_t)) {
-    clock_.advance(p.nt_store_latency);
+    clock_.advance(device_.timing().params().nt_store_latency);
   } else {
-    const simtime::Ns done = device_.timing().reserve_device(
-        clock_.now(), src.size(), /*is_read=*/false, wfq_class_);
-    pending_drain_ = std::max(pending_drain_, done + p.line_write_latency);
-    writes_since_fence_ = true;
-    clock_.advance(static_cast<simtime::Ns>(lines_of(offset, src.size())) *
-                   p.cache_hit_latency);
+    charge_nt_write(offset, src.size());
   }
+}
+
+void Accessor::discard(std::uint64_t offset, std::size_t size) {
+  if (size == 0) {
+    return;
+  }
+  fault_access(offset, size, /*is_read=*/false);
+  cache_.discard(offset, size);
+  charge_nt_write(offset, size);
 }
 
 void Accessor::nt_load(std::uint64_t offset, std::span<std::byte> dst) {

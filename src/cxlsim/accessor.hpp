@@ -83,6 +83,13 @@ class Accessor {
   std::uint64_t nt_load_u64(std::uint64_t offset);
   void nt_store_u64(std::uint64_t offset, std::uint64_t value);
 
+  /// Zero a line-aligned range the way NT stores of zeros would, without
+  /// storing them: CacheSim::discard drops this node's cached copies
+  /// unwritten and the device hands the range's pages back. Charged what
+  /// the stores cost: one device write reservation for the range, drained
+  /// by the next sfence, plus the per-line store cost.
+  void discard(std::uint64_t offset, std::size_t size);
+
   /// Poll-read one bare u64 without charging time (failed polls are
   /// waiting, not work — the doorbell-word analogue of peek_flag).
   [[nodiscard]] std::uint64_t peek_u64(std::uint64_t offset);
@@ -195,6 +202,9 @@ class Accessor {
   }
   void charge_flush(const CacheSim::FlushResult& result,
                     simtime::Ns per_line_cost);
+  /// Charge a multi-byte NT write of [offset, offset + size): a device
+  /// write reservation drained by the next sfence, plus per-line issue.
+  void charge_nt_write(std::uint64_t offset, std::size_t size);
 
   /// Fault hook at the top of every data operation: counts the access for
   /// crash-at-Nth scheduling (may throw RankCrashed) and, on reads, tags

@@ -12,7 +12,8 @@ namespace cmpi::cxlsim {
 CacheSim::CacheSim(DaxDevice& device, Geometry geometry)
     : device_(device), geometry_(geometry) {
   CMPI_EXPECTS(geometry.sets > 0 && geometry.ways > 0);
-  lines_.resize(geometry_.sets * geometry_.ways);
+  lines_ = std::make_unique_for_overwrite<Line[]>(capacity());
+  valid_ = std::make_unique<bool[]>(capacity());
   obs_registration_ = obs::ProviderRegistration([this] {
     const Stats s = stats();
     return std::vector<obs::Sample>{{"cache.hits", s.hits},
@@ -35,10 +36,17 @@ std::size_t CacheSim::set_index(std::uint64_t line_offset) const noexcept {
                                   geometry_.sets);
 }
 
+void CacheSim::invalidate(Line& line) {
+  valid(line) = false;
+  if (CoherenceChecker* chk = device_.checker()) {
+    chk->on_invalidate(this, line.tag);
+  }
+}
+
 CacheSim::Line* CacheSim::find_line(std::uint64_t line_offset) {
   Line* base = &lines_[set_index(line_offset) * geometry_.ways];
   for (std::size_t w = 0; w < geometry_.ways; ++w) {
-    if (base[w].valid && base[w].tag == line_offset) {
+    if (valid(base[w]) && base[w].tag == line_offset) {
       base[w].lru = ++lru_clock_;
       return &base[w];
     }
@@ -58,7 +66,7 @@ void CacheSim::pool_write(std::uint64_t offset,
 }
 
 void CacheSim::writeback_line(Line& line) {
-  CMPI_ASSERT(line.valid);
+  CMPI_ASSERT(valid(line));
   if (line.dirty) {
     pool_write(line.tag, {line.data, kCacheLineSize});
     line.dirty = false;
@@ -74,7 +82,7 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
   // Pick an invalid way, else the LRU victim.
   Line* victim = &base[0];
   for (std::size_t w = 0; w < geometry_.ways; ++w) {
-    if (!base[w].valid) {
+    if (!valid(base[w])) {
       victim = &base[w];
       break;
     }
@@ -82,15 +90,13 @@ CacheSim::Line& CacheSim::fill_line(std::uint64_t line_offset) {
       victim = &base[w];
     }
   }
-  if (victim->valid) {
+  if (valid(*victim)) {
     writeback_line(*victim);
     ++stats_.evictions;
-    if (CoherenceChecker* chk = device_.checker()) {
-      chk->on_invalidate(this, victim->tag);
-    }
+    invalidate(*victim);
   }
   victim->tag = line_offset;
-  victim->valid = true;
+  valid(*victim) = true;
   victim->dirty = false;
   victim->lru = ++lru_clock_;
   pool_read(line_offset, {victim->data, kCacheLineSize});
@@ -179,10 +185,7 @@ CacheSim::FlushResult CacheSim::clflush(std::uint64_t offset,
         writeback_line(*line);
         ++result.lines_written_back;
       }
-      line->valid = false;
-      if (CoherenceChecker* chk = device_.checker()) {
-        chk->on_invalidate(this, at);
-      }
+      invalidate(*line);
     }
   }
   return result;
@@ -218,10 +221,7 @@ void CacheSim::nt_store(std::uint64_t offset, std::span<const std::byte> src) {
     for (std::uint64_t at = first; at <= last; at += kCacheLineSize) {
       if (Line* line = find_line(at); line != nullptr) {
         writeback_line(*line);
-        line->valid = false;
-        if (CoherenceChecker* chk = device_.checker()) {
-          chk->on_invalidate(this, at);
-        }
+        invalidate(*line);
       }
     }
   }
@@ -282,27 +282,39 @@ void CacheSim::nt_store_u64(std::uint64_t offset, std::uint64_t value) {
 
 void CacheSim::writeback_all() {
   std::lock_guard lock(mutex_);
-  CoherenceChecker* chk = device_.checker();
-  for (Line& line : lines_) {
-    if (line.valid) {
-      writeback_line(line);
-      line.valid = false;
-      if (chk != nullptr) {
-        chk->on_invalidate(this, line.tag);
-      }
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    if (valid_[i]) {
+      writeback_line(lines_[i]);
+      invalidate(lines_[i]);
     }
   }
 }
 
 void CacheSim::drop_all() {
   std::lock_guard lock(mutex_);
-  CoherenceChecker* chk = device_.checker();
-  for (Line& line : lines_) {
-    if (line.valid && chk != nullptr) {
-      chk->on_invalidate(this, line.tag);
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    if (valid_[i]) {
+      invalidate(lines_[i]);
     }
-    line.valid = false;
-    line.dirty = false;
+  }
+}
+
+void CacheSim::discard(std::uint64_t offset, std::size_t size) {
+  CMPI_EXPECTS(is_aligned(offset, kCacheLineSize) &&
+               is_aligned(size, kCacheLineSize));
+  CMPI_EXPECTS(offset + size <= device_.size());
+  std::lock_guard lock(mutex_);
+  // Walk the cache, not the range: a slot table spans more lines than
+  // the whole cache holds.
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    if (valid_[i] && lines_[i].tag >= offset &&
+        lines_[i].tag < offset + size) {
+      invalidate(lines_[i]);
+    }
+  }
+  device_.discard(offset, size);
+  if (CoherenceChecker* chk = device_.checker()) {
+    chk->on_pool_write(this, offset, size);
   }
 }
 

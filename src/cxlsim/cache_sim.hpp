@@ -16,9 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "common/align.hpp"
 #include "common/status.hpp"
@@ -97,18 +97,34 @@ class CacheSim {
   /// Drop all lines WITHOUT writing back (power-loss style; tests only).
   void drop_all();
 
+  /// Zero the line-aligned range [offset, offset + size) of the pool
+  /// (DaxDevice::discard) and drop this node's cached copies of it WITHOUT
+  /// writing them back, so no later eviction or writeback_all brings the
+  /// old bytes back. Other nodes' copies are theirs to invalidate, as
+  /// after any NT store.
+  void discard(std::uint64_t offset, std::size_t size);
+
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Geometry& geometry() const noexcept { return geometry_; }
 
  private:
+  /// A line's fields are read only while its valid_ entry is set, and
+  /// fill_line writes them all first, so they start uninitialised.
   struct Line {
-    std::uint64_t tag = 0;  ///< line-aligned pool offset
-    std::uint64_t lru = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::byte data[kCacheLineSize]{};
+    std::uint64_t tag;  ///< line-aligned pool offset
+    std::uint64_t lru;
+    bool dirty;
+    std::byte data[kCacheLineSize];
   };
 
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return geometry_.sets * geometry_.ways;
+  }
+  [[nodiscard]] bool& valid(const Line& line) noexcept {
+    return valid_[static_cast<std::size_t>(&line - lines_.get())];
+  }
+  /// Drop a valid line without writing it back and tell the checker.
+  void invalidate(Line& line);
   Line* find_line(std::uint64_t line_offset);
   Line& fill_line(std::uint64_t line_offset);
   void writeback_line(Line& line);
@@ -119,7 +135,8 @@ class CacheSim {
   DaxDevice& device_;
   const Geometry geometry_;
   mutable std::mutex mutex_;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
+  std::unique_ptr<Line[]> lines_;  // sets * ways, row-major by set
+  std::unique_ptr<bool[]> valid_;  // per line; starts cleared, lines_ not
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
   // Exposes stats() to the obs metrics registry as the cache.* family;

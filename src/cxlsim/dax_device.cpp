@@ -1,8 +1,10 @@
 #include "cxlsim/dax_device.hpp"
 
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -123,6 +125,29 @@ DaxDevice::~DaxDevice() {
   if (pool_fd_ >= 0) {
     close(pool_fd_);
   }
+}
+
+void DaxDevice::discard(std::uint64_t offset, std::uint64_t size) {
+  CMPI_EXPECTS(offset <= size_ && size <= size_ - offset);
+  static const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  const std::uint64_t end = offset + size;
+  const std::uint64_t first = std::min(align_up(offset, page), end);
+  const std::uint64_t last = std::max(align_down(end, page), first);
+  PoolGuard guard(*this);
+  std::memset(pool_base_ + offset, 0, first - offset);
+  std::memset(pool_base_ + last, 0, end - last);
+  if (first == last) {
+    return;
+  }
+#if defined(__linux__)
+  if (fallocate(pool_fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                static_cast<off_t>(first),
+                static_cast<off_t>(last - first)) == 0) {
+    return;
+  }
+#endif
+  // No hole punching here: store the zeros instead.
+  std::memset(pool_base_ + first, 0, last - first);
 }
 
 Status DaxDevice::set_cacheability(std::uint64_t offset, std::uint64_t size,

@@ -84,6 +84,14 @@ class DaxDevice {
   /// Backing fd, so forked processes can re-map the same pool.
   [[nodiscard]] int fd() const noexcept { return pool_fd_; }
 
+  /// Zero [offset, offset + size) of the pool: the whole pages inside the
+  /// range go back to the kernel (a hole punched in the backing memfd, so
+  /// every mapping, forked ones included, reads zeros and the pages stop
+  /// costing memory); the partial pages at its edges are memset.
+  /// Serialized against bulk pool copies. Pool bytes only: node caches
+  /// and virtual time are CacheSim::discard's and Accessor::discard's.
+  void discard(std::uint64_t offset, std::uint64_t size);
+
   /// Program a cacheability range (MTRR write). Returns an error when the
   /// register file is full or the range is malformed. Not thread-safe with
   /// concurrent accesses (matches real MTRR reprogramming discipline).

@@ -171,6 +171,16 @@ static_assert(sizeof(RdvzDescriptor) == 32);
 /// wedged under a corpse degrades the send to eager instead of hanging it.
 constexpr std::chrono::milliseconds kRdvzLockTimeout{100};
 
+/// The rendezvous path's arena-lock verdict: a participant the fault
+/// injector has killed is dead, so its ticket may be broken.
+arena::BakeryLock::DeadPredicate injector_convicts(
+    const cxlsim::FaultInjector* injector) {
+  return [injector](std::size_t participant) {
+    return injector != nullptr &&
+           injector->rank_crashed(static_cast<int>(participant));
+  };
+}
+
 /// Bounded sub-chunk for slab bulk transfers. One monolithic multi-MiB op
 /// would saturate the memory-hierarchy contention penalty (the very
 /// collapse Fig. 5 shows for naive one-sided bulk ops), while tiny ops
@@ -632,22 +642,20 @@ Result<arena::ObjectHandle> Endpoint::acquire_rdvz_slot(int dst,
                            std::to_string(rank()) + "." +
                            std::to_string(dst) + "." +
                            std::to_string(rdvz_name_counter_++);
-  const cxlsim::FaultInjector* injector = ctx_->device().fault_injector();
+  // Beat while queued behind other ranks' slab creates and destroys: the
+  // wait can outlast a lease, and a peer waiting on this rank's message
+  // convicts a silent heartbeat.
   return ctx_->arena().create_for(
       name, bytes, arena::Ownership::kOwned, kRdvzLockTimeout,
-      [injector](std::size_t participant) {
-        return injector != nullptr &&
-               injector->rank_crashed(static_cast<int>(participant));
-      });
+      injector_convicts(ctx_->device().fault_injector()),
+      [this] { ctx_->failure_detector().beat(ctx_->acc()); });
 }
 
 void Endpoint::destroy_rdvz_slot(arena::ObjectHandle slot) {
-  const cxlsim::FaultInjector* injector = ctx_->device().fault_injector();
   const Status destroyed = ctx_->arena().destroy_for(
-      slot, kRdvzLockTimeout, [injector](std::size_t participant) {
-        return injector != nullptr &&
-               injector->rank_crashed(static_cast<int>(participant));
-      });
+      slot, kRdvzLockTimeout,
+      injector_convicts(ctx_->device().fault_injector()),
+      [this] { ctx_->failure_detector().beat(ctx_->acc()); });
   if (!destroyed.is_ok() && destroyed.code() != ErrorCode::kNotFound) {
     // Deliberate leak on a wedged arena lock: scavenging whoever holds it
     // unblocks future destroys, and the slab is reclaimed with us if we

@@ -5,12 +5,14 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/align.hpp"
 #include "common/units.hpp"
+#include "cxlsim/coherence_checker.hpp"
 
 namespace cmpi::arena {
 namespace {
@@ -183,6 +185,45 @@ TEST_F(ArenaTest, HashCapacityExceededWhenAllLevelsTaken) {
   EXPECT_TRUE(saw_capacity);
   EXPECT_LE(created, 8);
   EXPECT_GT(created, 0);
+}
+
+TEST_F(ArenaTest, FormatOverRecycledRegionReadsClean) {
+  // A recycled region (a departed tenant's, say) still holds old bytes,
+  // and the formatting node may still cache one of its lines dirty.
+  cxlsim::CoherenceChecker& checker = device_->enable_coherence_checker();
+  Arena::Params tiny;
+  tiny.levels = 2;
+  tiny.level1_buckets = 5;  // levels: 5 + 3 = 8 slots total
+  tiny.max_participants = 2;
+  const auto create_all = [](Arena& a) {
+    int created = 0;
+    for (int i = 0; i < 64; ++i) {
+      created += a.create("o" + std::to_string(i), 64).is_ok() ? 1 : 0;
+    }
+    return created;
+  };
+  Arena fresh = check_ok(Arena::format(*acc_, 8_MiB, 1_MiB, 0, tiny));
+  const int capacity = create_all(fresh);
+  ASSERT_GT(capacity, 0);
+
+  // Every word of the old table reads as a used slot (status 1), and the
+  // last slot's first line is dirty in this node's cache.
+  const std::uint64_t table_end = Arena::metadata_footprint(tiny);
+  const std::vector<std::uint64_t> garbage(table_end / 8, 1);
+  acc_->nt_store(0, std::as_bytes(std::span(garbage)));
+  const std::uint64_t dirty_line = table_end - 128;
+  acc_->store(dirty_line, std::as_bytes(std::span(garbage).first(8)));
+
+  Arena a = check_ok(Arena::format(*acc_, 0, 1_MiB, 0, tiny));
+  cache_->writeback_all();
+  for (std::uint64_t i = 0; i < kCacheLineSize; ++i) {
+    ASSERT_EQ(std::to_integer<int>(device_->pool()[dirty_line + i]), 0)
+        << "byte " << i << " of the dirty line came back";
+  }
+  EXPECT_EQ(a.used_slots(), 0u);
+  EXPECT_EQ(a.open("o0").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(create_all(a), capacity);
+  EXPECT_EQ(checker.total_violations(), 0u) << checker.summary_string();
 }
 
 TEST_F(ArenaTest, FreeListCoalescesAdjacentBlocks) {

@@ -232,6 +232,47 @@ TEST_F(CacheSimTest, DropAllDiscardsDirtyData) {
   EXPECT_EQ(std::to_integer<int>(out[0]), 0);  // dirty data was lost
 }
 
+TEST_F(CacheSimTest, FreshCacheExposesNoStaleStorage) {
+  constexpr std::uint64_t kBase = 65536;
+  constexpr std::size_t kSpan = 64 * kCacheLineSize;
+  // Leave valid-looking dirty lines in memory the allocator may hand to
+  // the next cache.
+  {
+    CacheSim used(*device_);
+    used.write(kBase, std::vector<std::byte>(kSpan, std::byte{0xFF}));
+    used.drop_all();
+  }
+  std::memset(device_->pool().data() + kBase, 0x5A, kSpan);
+  CacheSim fresh(*device_);
+  fresh.writeback_all();
+  fresh.drop_all();
+  EXPECT_EQ(fresh.stats().writebacks, 0u);
+  std::vector<std::byte> got(kSpan);
+  fresh.nt_load(kBase, got);
+  EXPECT_EQ(got, std::vector<std::byte>(kSpan, std::byte{0x5A}));
+  for (std::uint64_t at = kBase; at < kBase + kSpan; at += kCacheLineSize) {
+    std::byte out[1];
+    fresh.read(at, out);
+    EXPECT_EQ(std::to_integer<int>(out[0]), 0x5A) << "line at " << at;
+  }
+  EXPECT_EQ(fresh.stats().misses, kSpan / kCacheLineSize);
+  EXPECT_EQ(fresh.stats().hits, 0u);
+  for (std::uint64_t i = 0; i < kSpan; ++i) {
+    ASSERT_EQ(std::to_integer<int>(pool_at(kBase + i)), 0x5A) << "byte " << i;
+  }
+}
+
+TEST_F(CacheSimTest, DiscardDropsOwnCopiesWithoutWriteBack) {
+  node_a_->write(16384, bytes({7}));  // inside the range, dirty
+  node_a_->write(20480, bytes({8}));  // just past it, dirty
+  node_a_->discard(16384, 4096);
+  EXPECT_EQ(node_a_->stats().writebacks, 0u);
+  node_a_->writeback_all();
+  EXPECT_EQ(node_a_->stats().writebacks, 1u);
+  EXPECT_EQ(std::to_integer<int>(pool_at(16384)), 0);
+  EXPECT_EQ(std::to_integer<int>(pool_at(20480)), 8);
+}
+
 TEST_F(CacheSimTest, RandomizedAgainstReferenceWithFlushDiscipline) {
   // Property: if every write is followed by clflush and every read is
   // preceded by clflush (the §3.5 discipline), a single node's view always

@@ -1,6 +1,8 @@
 #include "cxlsim/dax_device.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
 
@@ -86,6 +88,40 @@ TEST(DaxDevice, MtrrRejectsOutOfRange) {
 TEST(DaxDevice, HeadsAreReported) {
   auto device = check_ok(DaxDevice::create(4096, 2));
   EXPECT_EQ(device->heads(), 2u);
+}
+
+TEST(DaxDevice, DiscardZeroesExactlyItsRange) {
+  auto device = check_ok(DaxDevice::create(4096));
+  const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  const std::uint64_t span = 8 * page;
+  // A second mapping of the pool, as a forked process would hold: a
+  // punched hole must read as zeros through it too.
+  void* other = mmap(nullptr, span, PROT_READ, MAP_SHARED, device->fd(), 0);
+  ASSERT_NE(other, MAP_FAILED);
+  const auto* remote = static_cast<const std::byte*>(other);
+  struct Case {
+    const char* what;
+    std::uint64_t offset;
+    std::uint64_t size;
+  };
+  const Case cases[] = {
+      {"unaligned start and end", page + 100, 3 * page + 50},
+      {"sub-page range", 2 * page + 10, 300},
+      {"whole pages", 4 * page, 2 * page},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto pool = device->pool();
+    std::memset(pool.data(), 0xEE, span);
+    device->discard(c.offset, c.size);
+    for (std::uint64_t i = 0; i < span; ++i) {
+      const bool inside = i >= c.offset && i < c.offset + c.size;
+      const std::byte want = inside ? std::byte{0} : std::byte{0xEE};
+      ASSERT_EQ(pool[i], want) << "byte " << i;
+      ASSERT_EQ(remote[i], want) << "byte " << i << " (second mapping)";
+    }
+  }
+  munmap(other, span);
 }
 
 }  // namespace

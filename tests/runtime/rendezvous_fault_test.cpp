@@ -14,6 +14,9 @@
 //     there: the deferred pull surfaces kDataPoisoned at match time.
 //   * A crashed sender's stale RTS cells are incarnation-fenced after
 //     respawn: descriptors consumed, slab untouched, nothing delivered.
+//   * A live sender whose slab create queues behind another rank's arena
+//     lock for several leases keeps beating, so its receiver does not
+//     convict it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -255,6 +258,44 @@ TEST(RendezvousFault, StaleRtsIsFencedAfterRespawn) {
 
   const runtime::RecoveryStats stats = universe.recovery_stats();
   EXPECT_EQ(stats.stale_fenced, 1u);
+  EXPECT_TRUE(universe.failed_ranks().empty());
+}
+
+TEST(RendezvousFault, SenderQueuedOnArenaLockKeepsBeating) {
+  runtime::UniverseConfig cfg = rdvz_fault_config();
+  cfg.nodes = 3;
+  cfg.failure_lease = 25ms;
+  runtime::Universe universe(cfg);
+  const std::vector<std::byte> payload = patterned(15'000, 65);
+  std::atomic<std::uint64_t> slab_attempts{0};
+
+  universe.run([&](runtime::RankCtx& ctx) {
+    Session mpi(ctx);
+    if (ctx.rank() == 0) {
+      // Hold the arena lock across the barrier for three leases: rank 1's
+      // slab create queues behind it, and the release comes well inside
+      // the rendezvous path's 100 ms lock deadline.
+      arena::Arena& arena = ctx.arena();
+      arena.shm_lock().lock(ctx.acc(), arena.participant());
+      ctx.barrier();
+      std::this_thread::sleep_for(3 * cfg.failure_lease);
+      arena.shm_lock().unlock(ctx.acc(), arena.participant());
+      return;
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      check_ok(mpi.send_for(2, 5, payload, 10000ms));
+      const p2p::CommStats& stats = mpi.endpoint().stats();
+      slab_attempts = stats.rendezvous_sent + stats.rendezvous_fallbacks;
+      return;
+    }
+    std::vector<std::byte> buf(payload.size());
+    const auto r = mpi.recv_for(1, 5, buf, 10000ms);
+    ASSERT_TRUE(r.is_ok()) << r.status().message();
+    EXPECT_EQ(buf, payload);
+  });
+
+  EXPECT_EQ(slab_attempts.load(), 1u);
   EXPECT_TRUE(universe.failed_ranks().empty());
 }
 
