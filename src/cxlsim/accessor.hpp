@@ -12,7 +12,7 @@
 //   * non-temporal ops — bypass the cache; u64 variants are the lock-free
 //     synchronization-flag primitives (head/tail pointers, PSCW flags),
 //   * bulk_write / bulk_read — streaming payload copies with the pipelined
-//     CPU + device bandwidth model (and contention gauge),
+//     CPU + device bandwidth model (and the node's contention gauge),
 //   * timestamped flags — an 8-byte value plus an 8-byte virtual-time stamp
 //     published together, the mechanism that propagates causality between
 //     rank clocks (see simtime/vclock.hpp).
@@ -205,7 +205,6 @@ class Accessor {
   /// Charge a multi-byte NT write of [offset, offset + size): a device
   /// write reservation drained by the next sfence, plus per-line issue.
   void charge_nt_write(std::uint64_t offset, std::size_t size);
-
   /// Fault hook at the top of every data operation: counts the access for
   /// crash-at-Nth scheduling (may throw RankCrashed) and, on reads, tags
   /// poison overlap. Polling reads (peek_flag) check poison but are not

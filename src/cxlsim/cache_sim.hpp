@@ -107,6 +107,10 @@ class CacheSim {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Geometry& geometry() const noexcept { return geometry_; }
 
+  /// Bulk copies in flight on this node: the §4.2 contention gauge its
+  /// ranks' bulk reads and writes share.
+  [[nodiscard]] StreamGauge& copy_streams() noexcept { return copy_streams_; }
+
  private:
   /// A line's fields are read only while its valid_ entry is set, and
   /// fill_line writes them all first, so they start uninitialised.
@@ -139,6 +143,7 @@ class CacheSim {
   std::unique_ptr<bool[]> valid_;  // per line; starts cleared, lines_ not
   std::uint64_t lru_clock_ = 0;
   Stats stats_;
+  StreamGauge copy_streams_;
   // Exposes stats() to the obs metrics registry as the cache.* family;
   // the registration folds the final values in when this cache dies.
   obs::ProviderRegistration obs_registration_;

@@ -7,7 +7,8 @@
 
 namespace cmpi::cxlsim {
 
-simtime::Ns CxlTimingModel::cpu_copy_cost(std::size_t bytes) const noexcept {
+simtime::Ns CxlTimingModel::cpu_copy_cost(std::size_t bytes,
+                                          int streams) const noexcept {
   if (bytes == 0) {
     return 0;
   }
@@ -16,13 +17,13 @@ simtime::Ns CxlTimingModel::cpu_copy_cost(std::size_t bytes) const noexcept {
     // Working set exceeds the cache-friendly size: concurrent streams evict
     // each other and contend for DIMM row buffers. The slowdown grows with
     // how far past the threshold the message is (log2 scale, saturating)
-    // and with the number of other active streams.
+    // and with the number of other streams on the same node.
     const double excess =
         std::min(1.0, std::log2(static_cast<double>(bytes) /
                                 static_cast<double>(
                                     params_.contention_threshold)) /
                           params_.contention_span_log2);
-    const int others = std::max(0, active_streams() - 1);
+    const int others = std::max(0, streams - 1);
     rate /= 1.0 + params_.contention_alpha * excess *
                       static_cast<double>(others);
   }

@@ -50,15 +50,44 @@ struct CxlTimingParams {
 
   // --- Memory-hierarchy contention for large working sets (§4.2) ---
   /// Messages at or below this size are cache-friendly; beyond it, multiple
-  /// concurrent streams degrade each other's effective CPU copy rate.
+  /// concurrent streams of one node degrade each other's effective CPU copy
+  /// rate (see StreamGauge).
   std::size_t contention_threshold = 16 * 1024;
   double contention_alpha = 0.8;       ///< strength of cross-stream slowdown
   double contention_span_log2 = 9.0;   ///< slowdown saturates at thr << 9 (8 MiB)
 };
 
+/// Gauge of the bulk copies in flight on one node (§4.2 contention). The
+/// ranks of a node share its caches and memory controllers, so their large
+/// copies slow each other down; copies of different nodes meet only at the
+/// device, whose bandwidth reservation already charges them. Each CacheSim
+/// (one per node) owns one. Thread-safe.
+class StreamGauge {
+ public:
+  /// RAII: counts one copy stream for its lifetime.
+  class Scope {
+   public:
+    explicit Scope(StreamGauge& gauge) noexcept : gauge_(&gauge) {
+      gauge_->active_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Scope() { gauge_->active_.fetch_sub(1, std::memory_order_relaxed); }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    StreamGauge* gauge_;
+  };
+
+  [[nodiscard]] int active() const noexcept {
+    return active_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<int> active_{0};
+};
+
 /// Shared timing state of the device: the streaming-bandwidth server that
-/// all heads contend on and the gauge of concurrently active bulk streams.
-/// Thread-safe.
+/// all heads contend on. Thread-safe.
 class CxlTimingModel {
  public:
   explicit CxlTimingModel(const CxlTimingParams& params)
@@ -96,29 +125,11 @@ class CxlTimingModel {
   }
 
   /// CPU-side cost of copying `bytes` between host memory and the pool,
-  /// including the large-working-set contention penalty for the current
-  /// number of active streams.
-  [[nodiscard]] simtime::Ns cpu_copy_cost(std::size_t bytes) const noexcept;
-
-  /// RAII gauge of concurrently active bulk copy streams.
-  class StreamScope {
-   public:
-    explicit StreamScope(CxlTimingModel& model) noexcept : model_(&model) {
-      model_->active_streams_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~StreamScope() {
-      model_->active_streams_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    StreamScope(const StreamScope&) = delete;
-    StreamScope& operator=(const StreamScope&) = delete;
-
-   private:
-    CxlTimingModel* model_;
-  };
-
-  [[nodiscard]] int active_streams() const noexcept {
-    return active_streams_.load(std::memory_order_relaxed);
-  }
+  /// including the large-working-set contention penalty for `streams`
+  /// copies in flight on the copying node, this one included (its
+  /// StreamGauge).
+  [[nodiscard]] simtime::Ns cpu_copy_cost(std::size_t bytes,
+                                          int streams = 1) const noexcept;
 
   /// Cost of an uncachable access of `total_size` bytes starting inside a
   /// UC MTRR range (per-line serialized TLPs; regime depends on size).
@@ -130,7 +141,6 @@ class CxlTimingModel {
  private:
   const CxlTimingParams params_;
   simtime::BusyResource device_;
-  std::atomic<int> active_streams_{0};
 };
 
 }  // namespace cmpi::cxlsim

@@ -167,6 +167,34 @@ TEST_F(AccessorTest, ConcurrentBulkWritesContendOnDevice) {
   EXPECT_GT(clock_b.now(), 1.8 * solo);
 }
 
+TEST_F(AccessorTest, BulkCopyContendsOnlyWithItsOwnNodesStreams) {
+  // §4.2: a large copy slows down for every other copy in flight on its
+  // own node (the ranks sharing one CacheSim), never for copies on another
+  // node. A stream held open on node A stands in for a concurrent copy, so
+  // no thread timing is involved.
+  const auto& timing = device_->timing();
+  const simtime::Ns setup = timing.params().flush_base;
+  const simtime::Ns solo = setup + timing.cpu_copy_cost(1_MiB, 1);
+  const simtime::Ns shared = setup + timing.cpu_copy_cost(1_MiB, 2);
+  ASSERT_GT(shared, solo);
+  const StreamGauge::Scope other_copy_on_a(cache_a_->copy_streams());
+  const auto data = pattern(1_MiB);
+  acc_a_->bulk_write(0, data);
+  EXPECT_DOUBLE_EQ(clock_a_.now(), shared);
+  acc_b_->bulk_write(1_MiB, data);
+  EXPECT_DOUBLE_EQ(clock_b_.now(), solo);
+  // Reads follow the same rule (the copy outlasts the device read here).
+  std::vector<std::byte> got(1_MiB);
+  const simtime::Ns a_before = clock_a_.now();
+  acc_a_->bulk_read(1_MiB, got);
+  EXPECT_NEAR(clock_a_.now() - a_before, shared, 1e-6);
+  const simtime::Ns b_before = clock_b_.now();
+  acc_b_->bulk_read(0, got);
+  EXPECT_NEAR(clock_b_.now() - b_before, solo, 1e-6);
+  EXPECT_EQ(cache_a_->copy_streams().active(), 1);
+  EXPECT_EQ(cache_b_->copy_streams().active(), 0);
+}
+
 TEST_F(AccessorTest, UncachableRegionBypassesCache) {
   check_ok(device_->set_cacheability(64_KiB, 4096,
                                      Cacheability::kUncachable));

@@ -40,39 +40,35 @@ TEST(CxlTiming, CpuCopyCostLinearBelowThreshold) {
 
 TEST(CxlTiming, CpuCopySoloStreamNeverDegrades) {
   CxlTimingModel model{CxlTimingParams{}};
-  CxlTimingModel::StreamScope self(model);
   const auto& p = model.params();
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(8_MiB), 8_MiB / p.cpu_copy_bytes_per_ns);
+  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(8_MiB, /*streams=*/1),
+                   8_MiB / p.cpu_copy_bytes_per_ns);
 }
 
 TEST(CxlTiming, CpuCopyDegradesWithConcurrentStreamsForLargeMessages) {
   CxlTimingModel model{CxlTimingParams{}};
-  CxlTimingModel::StreamScope s1(model);
-  CxlTimingModel::StreamScope s2(model);
-  CxlTimingModel::StreamScope s3(model);
-  CxlTimingModel::StreamScope s4(model);
   const auto& p = model.params();
   // Small messages: contention-free even with 4 streams.
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(16_KiB),
+  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(16_KiB, /*streams=*/4),
                    16_KiB / p.cpu_copy_bytes_per_ns);
   // Large messages: slower than the solo rate.
-  EXPECT_GT(model.cpu_copy_cost(8_MiB),
+  EXPECT_GT(model.cpu_copy_cost(8_MiB, /*streams=*/4),
             1.5 * (8_MiB / p.cpu_copy_bytes_per_ns));
 }
 
 TEST(CxlTiming, StreamScopeGaugeNests) {
-  CxlTimingModel model{CxlTimingParams{}};
-  EXPECT_EQ(model.active_streams(), 0);
+  StreamGauge gauge;
+  EXPECT_EQ(gauge.active(), 0);
   {
-    CxlTimingModel::StreamScope a(model);
-    EXPECT_EQ(model.active_streams(), 1);
+    const StreamGauge::Scope a(gauge);
+    EXPECT_EQ(gauge.active(), 1);
     {
-      CxlTimingModel::StreamScope b(model);
-      EXPECT_EQ(model.active_streams(), 2);
+      const StreamGauge::Scope b(gauge);
+      EXPECT_EQ(gauge.active(), 2);
     }
-    EXPECT_EQ(model.active_streams(), 1);
+    EXPECT_EQ(gauge.active(), 1);
   }
-  EXPECT_EQ(model.active_streams(), 0);
+  EXPECT_EQ(gauge.active(), 0);
 }
 
 TEST(CxlTiming, DeviceReadsCheaperThanWrites) {
