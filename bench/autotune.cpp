@@ -243,7 +243,10 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     std::string procs_list;
     for (const int p : axes.procs) {
-      procs_list += (procs_list.empty() ? "" : ",") + std::to_string(p);
+      if (!procs_list.empty()) {
+        procs_list += ',';
+      }
+      procs_list += std::to_string(p);
     }
     DispatchTable table(winners);
     table.set_provenance({

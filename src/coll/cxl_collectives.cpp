@@ -24,7 +24,7 @@ void CxlCollectives::allgather(std::span<const std::byte> mine,
   window_.write_local(0, mine);
   window_.fence();
   for (int r = 0; r < n; ++r) {
-    auto block = all.subspan(static_cast<std::size_t>(r) * sz, sz);
+    auto block = all.subspan(static_cast<std::size_t>(r) * sz).first(sz);
     if (r == ctx_->rank()) {
       std::memcpy(block.data(), mine.data(), sz);
     } else {

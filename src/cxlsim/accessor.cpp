@@ -171,17 +171,39 @@ void Accessor::discard(std::uint64_t offset, std::size_t size) {
   charge_nt_write(offset, size);
 }
 
-void Accessor::nt_load(std::uint64_t offset, std::span<std::byte> dst) {
-  fault_access(offset, dst.size(), /*is_read=*/true);
+void Accessor::charge_nt_read(std::size_t size) {
   const auto& p = device_.timing().params();
-  cache_.nt_load(offset, dst);
-  if (dst.size() <= sizeof(std::uint64_t)) {
+  if (size <= sizeof(std::uint64_t)) {
     clock_.advance(p.nt_load_latency);
   } else {
     const simtime::Ns done = device_.timing().reserve_device(
-        clock_.now(), dst.size(), /*is_read=*/true, wfq_class_);
+        clock_.now(), size, /*is_read=*/true, wfq_class_);
     clock_.observe(done + p.line_fill_latency);
   }
+}
+
+void Accessor::nt_load(std::uint64_t offset, std::span<std::byte> dst) {
+  fault_access(offset, dst.size(), /*is_read=*/true);
+  cache_.nt_load(offset, dst);
+  charge_nt_read(dst.size());
+}
+
+void Accessor::nt_load_gather(std::span<GatherRange> ranges) {
+  std::size_t bytes = 0;
+  std::size_t lines = 0;
+  for (const GatherRange& range : ranges) {
+    bytes += range.dst.size();
+    lines += lines_of(range.offset, range.dst.size());
+  }
+  CMPI_EXPECTS(lines <= kLineFillBuffers);
+  const std::optional<std::uint64_t> earlier = exchange_poison({});
+  for (GatherRange& range : ranges) {
+    fault_access(range.offset, range.dst.size(), /*is_read=*/true);
+    cache_.nt_load(range.offset, range.dst);
+    range.poison = exchange_poison({});
+  }
+  exchange_poison(earlier);
+  charge_nt_read(bytes);
 }
 
 std::uint64_t Accessor::nt_load_u64(std::uint64_t offset) {

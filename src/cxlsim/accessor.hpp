@@ -10,7 +10,9 @@
 //     flushed; per-line latency charges (control-plane sized data),
 //   * clflush / clflushopt / clwb + sfence/lfence — software coherence,
 //   * non-temporal ops — bypass the cache; u64 variants are the lock-free
-//     synchronization-flag primitives (head/tail pointers, PSCW flags),
+//     synchronization-flag primitives (head/tail pointers, PSCW flags);
+//     a gathered read loads independent ranges in one overlapped wave,
+//     bounded by the core's line fill buffers (kLineFillBuffers),
 //   * bulk_write / bulk_read — streaming payload copies with the pipelined
 //     CPU + device bandwidth model (and the node's contention gauge),
 //   * timestamped flags — an 8-byte value plus an 8-byte virtual-time stamp
@@ -80,6 +82,25 @@ class Accessor {
   // --- Non-temporal accesses ---
   void nt_store(std::uint64_t offset, std::span<const std::byte> src);
   void nt_load(std::uint64_t offset, std::span<std::byte> dst);
+
+  /// One range of a gathered read.
+  struct GatherRange {
+    std::uint64_t offset = 0;
+    std::span<std::byte> dst;
+    /// Out: the poisoned pool offset this range's read touched (nullopt
+    /// when clean). Parked here, not on the sticky flag, so a reader that
+    /// reads ahead can charge it to the data it belongs to.
+    std::optional<std::uint64_t> poison;
+  };
+  /// Gathered NT read: independent loads of every range, issued back to
+  /// back so their line fills overlap. Charged exactly as one nt_load of
+  /// the summed bytes: one device read reservation, one line_fill_latency.
+  /// Limited to one wave: the ranges together span at most
+  /// kLineFillBuffers lines (a contract). Each range is one access for
+  /// crash-at-Nth schedules, performed in order; poison pending before the
+  /// call stays raised.
+  void nt_load_gather(std::span<GatherRange> ranges);
+
   std::uint64_t nt_load_u64(std::uint64_t offset);
   void nt_store_u64(std::uint64_t offset, std::uint64_t value);
 
@@ -205,6 +226,9 @@ class Accessor {
   /// Charge a multi-byte NT write of [offset, offset + size): a device
   /// write reservation drained by the next sfence, plus per-line issue.
   void charge_nt_write(std::uint64_t offset, std::size_t size);
+  /// Charge an NT read of `size` bytes: one NT-load round up to 8 bytes,
+  /// else a device read reservation plus one line-fill latency.
+  void charge_nt_read(std::size_t size);
   /// Fault hook at the top of every data operation: counts the access for
   /// crash-at-Nth scheduling (may throw RankCrashed) and, on reads, tags
   /// poison overlap. Polling reads (peek_flag) check poison but are not

@@ -22,6 +22,15 @@
 
 namespace cmpi::cxlsim {
 
+/// Line fills one core keeps in flight at once: the L1D fill buffers of a
+/// Golden Cove core, 16 (Intel 64 and IA-32 Architectures Optimization
+/// Reference Manual, Golden Cove microarchitecture). The paper's Xeon 6530
+/// hosts run Raptor Cove cores, which keep Golden Cove's L1D. Independent
+/// loads of up to this many lines overlap, so such a wave pays one
+/// line-fill latency (Accessor::nt_load_gather); a longer gather would
+/// stall on free buffers.
+inline constexpr std::size_t kLineFillBuffers = 16;
+
 struct CxlTimingParams {
   // --- Transaction latencies (ns) ---
   simtime::Ns line_fill_latency = 790;    ///< cold 64 B read from the pool
@@ -129,7 +138,7 @@ class CxlTimingModel {
   /// copies in flight on the copying node, this one included (its
   /// StreamGauge).
   [[nodiscard]] simtime::Ns cpu_copy_cost(std::size_t bytes,
-                                          int streams = 1) const noexcept;
+                                          int streams) const noexcept;
 
   /// Cost of an uncachable access of `total_size` bytes starting inside a
   /// UC MTRR range (per-line serialized TLPs; regime depends on size).

@@ -1386,9 +1386,9 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   ring.defer_head_publish(false);
   DrainOutcome out;
   out.drained_any = reaped > 0;
-  // Reads one cell ahead; any poison it hits stays parked with that cell
-  // (SpscRing::peek) instead of landing on the next peer's dequeue, and
-  // its stamp waits for the dequeue too.
+  // Reads ahead (the next cells' gathered wave); any poison it hits stays
+  // parked with its cell (SpscRing::peek) instead of landing on the next
+  // peer's dequeue, and each stamp waits for its dequeue too.
   out.more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
   if (reaped > 0) {
     CMPI_OBS_HIST("p2p.cells_per_reap", reaped);

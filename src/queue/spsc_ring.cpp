@@ -1,5 +1,6 @@
 #include "queue/spsc_ring.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -193,50 +194,59 @@ bool SpscRing::can_dequeue(cxlsim::Accessor& acc) {
 }
 
 std::optional<CellHeader> SpscRing::peek(cxlsim::Accessor& acc) {
-  if (peeked_.has_value()) {
-    // Same unconsumed cell as the previous peek: time-free re-read (the
-    // header cannot change until we consume the cell).
-    return peeked_->header;
+  if (!has_peeked()) {
+    if (!can_dequeue(acc)) {
+      return std::nullopt;
+    }
+    gather(acc);
   }
-  if (!can_dequeue(acc)) {
-    return std::nullopt;
+  // A gathered cell cannot change until we consume it: re-peeks are
+  // time-free.
+  return peeked_[peeked_next_].header();
+}
+
+CellHeader SpscRing::PeekedCell::header() const noexcept {
+  CellHeader out{};
+  std::memcpy(&out, lines.data(), sizeof(CellHeader));
+  return out;
+}
+
+void SpscRing::gather(cxlsim::Accessor& acc) {
+  // Every published cell past head_local_ is final until we consume it,
+  // and its address is known: the loads are independent, one wave. Each
+  // reads the header line and the first payload line (every cell has one:
+  // cell_payload >= 64), so a small-message dequeue needs no payload read.
+  const auto cells = static_cast<std::size_t>(
+      std::min<std::uint64_t>(peer_tail_ - head_local_, kGatherCells));
+  if (peeked_.capacity() == 0) {
+    peeked_.reserve(kGatherCells);
   }
-  // Fused small-cell read: one streaming load spans the header line and
-  // the first payload line (every cell has one: cell_payload >= 64).
-  // Adjacent-line fills pipeline, so the pair costs one line-fill latency
-  // (plus a few ns of device occupancy) instead of two — and a
-  // small-message dequeue then needs no separate payload read at all.
-  std::array<std::byte, sizeof(CellHeader) + kCacheLineSize> fused;
-  // Park poison this load touches with the cell (see peek() in the header);
-  // poison already pending belongs to an earlier read and stays raised.
-  const std::optional<std::uint64_t> earlier = acc.exchange_poison({});
-  acc.nt_load(cell_base(head_local_), fused);
-  PeekedCell& cell = peeked_.emplace();
-  cell.poison = acc.exchange_poison(earlier);
-  std::memcpy(&cell.header, fused.data(), sizeof(CellHeader));
-  std::memcpy(cell.first_line.data(), fused.data() + sizeof(CellHeader),
-              kCacheLineSize);
-  return cell.header;
+  peeked_.resize(cells);
+  peeked_next_ = 0;
+  std::array<cxlsim::Accessor::GatherRange, kGatherCells> ranges;
+  for (std::size_t i = 0; i < cells; ++i) {
+    ranges[i].offset = cell_base(head_local_ + i);
+    ranges[i].dst = peeked_[i].lines;
+  }
+  acc.nt_load_gather(std::span(ranges).first(cells));
+  for (std::size_t i = 0; i < cells; ++i) {
+    peeked_[i].poison = ranges[i].poison;
+  }
+  CMPI_OBS_HIST("ring.cells_per_gather", static_cast<std::int64_t>(cells));
 }
 
 bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
                            std::span<std::byte> payload_out,
                            bool absorb_stamp) {
-  // peek() already charged the header read for this cell and prefetched
-  // the first payload line alongside it; its poison surfaces now.
-  const std::optional<PeekedCell> peeked =
-      std::exchange(peeked_, std::nullopt);
-  if (peeked.has_value()) {
-    header_out = peeked->header;
-    if (!acc.poison_pending()) {
-      acc.exchange_poison(peeked->poison);
-    }
-  } else if (!can_dequeue(acc)) {
+  // The gather already charged this cell's read and fetched its first
+  // payload line alongside the header; its poison surfaces now.
+  if (!peek(acc).has_value()) {
     return false;
-  } else {
-    acc.nt_load(cell_base(head_local_),
-                {reinterpret_cast<std::byte*>(&header_out),
-                 sizeof(CellHeader)});
+  }
+  const PeekedCell& peeked = peeked_[peeked_next_++];
+  header_out = peeked.header();
+  if (!acc.poison_pending()) {
+    acc.exchange_poison(peeked.poison);
   }
   if (absorb_stamp) {
     acc.clock().observe(std::bit_cast<simtime::Ns>(header_out.stamp));
@@ -248,11 +258,10 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
   if (!payload_out.empty()) {
     CMPI_EXPECTS(payload_out.size() >= header_out.chunk_bytes);
     const auto chunk = payload_out.subspan(0, header_out.chunk_bytes);
-    if (peeked.has_value() && header_out.chunk_bytes <= kCacheLineSize) {
-      // The whole chunk rode in with the fused peek: host-side copy only,
+    if (header_out.chunk_bytes <= kCacheLineSize) {
+      // The whole chunk rode in with the fused read: host-side copy only,
       // no second pool read, no invalidate sweep.
-      std::memcpy(chunk.data(), peeked->first_line.data(),
-                  header_out.chunk_bytes);
+      std::memcpy(chunk.data(), peeked.first_line(), header_out.chunk_bytes);
     } else {
       // In a deferred-head reap batch, cells after the first share the
       // batch's single invalidate sweep.
@@ -305,9 +314,10 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
   while (can_dequeue(acc)) {
     const std::uint64_t cell = cell_base(head_local_);
     CellHeader header{};
-    if (peeked_.has_value()) {
-      header = peeked_->header;  // its poison is discarded with the cell
-      peeked_.reset();
+    if (has_peeked()) {
+      // Gathered cells first, in FIFO order; their poison is discarded
+      // with them.
+      header = peeked_[peeked_next_++].header();
     } else {
       acc.nt_load(cell, {reinterpret_cast<std::byte*>(&header),
                          sizeof(CellHeader)});
@@ -358,7 +368,8 @@ void SpscRing::debug_rebase_counters(cxlsim::Accessor& acc,
   head_published_ = count;
   staged_.clear();
   read_setup_charged_ = false;
-  peeked_.reset();
+  peeked_.clear();
+  peeked_next_ = 0;
   mid_message_ = false;
 }
 

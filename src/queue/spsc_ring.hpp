@@ -179,30 +179,36 @@ class SpscRing {
   [[nodiscard]] bool can_dequeue(cxlsim::Accessor& acc);
 
   /// Peek the header of the next cell without consuming it. Returns
-  /// nullopt when empty. Charges read time only on a fresh cell: the
-  /// header is cached until the cell is consumed, so iprobe/probe polling
-  /// loops re-peeking the same cell advance virtual time by zero. The
-  /// cell's stamp is not absorbed here: looking at a cell is not consuming
-  /// it, and a consumer that peeks ahead (or at a cell it will park as
-  /// unexpected) must not jump to a time no receive has asked for yet.
-  /// try_dequeue absorbs it.
+  /// nullopt when empty. The cell's stamp is not absorbed here: looking at
+  /// a cell is not consuming it, and a consumer that peeks ahead (or at a
+  /// cell it will park as unexpected) must not jump to a time no receive
+  /// has asked for yet. try_dequeue absorbs it.
   ///
-  /// Small-cell reads are fused: the peek pulls the header line AND the
-  /// first payload line with one streaming load — adjacent-line fills
-  /// pipeline, so the pair costs one line-fill latency instead of two
-  /// (see Accessor::nt_load) — and a dequeue whose chunk fits the
-  /// prefetched line skips the separate payload read (and its invalidate
+  /// Reads are fused and gathered. When the next cell has not been read
+  /// yet, the peek reads every published, unconsumed cell the consumer
+  /// knows of, up to kGatherCells, in one wave (Accessor::nt_load_gather):
+  /// for each, the header line and the first payload line. Their
+  /// addresses are known and the loads independent, so the wave costs one
+  /// line-fill latency however many cells it covers (a wave is
+  /// cxlsim::kLineFillBuffers line fills at most, which makes
+  /// kGatherCells = 8; one visible cell is a wave of one). Later peeks,
+  /// and the dequeues of the gathered cells, charge no read: iprobe/probe
+  /// polling loops advance virtual time by zero, and a dequeue whose chunk
+  /// fits the prefetched line skips the payload read (and its invalidate
   /// sweep) entirely. This is the dominant per-message receiver cost at
   /// small sizes.
   ///
-  /// Media poison the peek's read touches belongs to the peeked cell, not
-  /// to whatever the caller reads next: it is taken off the accessor and
-  /// re-raised when that cell is dequeued, so a consumer that peeks one
-  /// cell ahead (end of a reap batch) never charges it to another message.
+  /// Media poison a gathered read touches belongs to its own cell, not to
+  /// whatever the caller reads next: it is parked with the cell and
+  /// re-raised when that cell is dequeued, so a consumer that reads ahead
+  /// (the rest of a wave, or one cell past a reap batch) never charges it
+  /// to another message.
   std::optional<CellHeader> peek(cxlsim::Accessor& acc);
 
   /// Dequeue the next cell into `payload_out` (must be >= chunk_bytes of
   /// the peeked header; pass empty to discard). Returns false when empty.
+  /// Reads the cell through peek() if no peek has read it yet; its CRC,
+  /// generation and poison are checked per cell.
   /// The cell's stamp is absorbed before the payload read unless
   /// `absorb_stamp` is false: then the caller keeps `header_out.stamp`,
   /// plus the time this call took, and absorbs it when it consumes what
@@ -273,6 +279,10 @@ class SpscRing {
   static constexpr std::uint64_t kConstOffset = 2 * kCacheLineSize;
   static constexpr std::uint64_t kCellsOffset = 3 * kCacheLineSize;
 
+  /// Cells one gathered peek reads: each takes two line fills (header and
+  /// first payload line), and a wave is cxlsim::kLineFillBuffers fills.
+  static constexpr std::size_t kGatherCells = cxlsim::kLineFillBuffers / 2;
+
  private:
   SpscRing(std::uint64_t base, std::size_t cells, std::size_t cell_payload)
       : base_(base), cells_(cells), cell_payload_(cell_payload) {}
@@ -298,17 +308,31 @@ class SpscRing {
   std::uint64_t head_local_ = 0;  // consumer: cells dequeued
   std::uint64_t peer_head_ = 0;   // producer's last view of head
   std::uint64_t peer_tail_ = 0;   // consumer's last view of tail
-  /// The not-yet-consumed cell at head_local_ as peek() read it, cached
-  /// so repeated polls of the same cell are time-free.
+  /// A published, unconsumed cell as peek()'s gather read it.
   struct PeekedCell {
-    CellHeader header;
-    /// First payload line, prefetched by the fused read.
-    std::array<std::byte, kCacheLineSize> first_line;
+    /// The header line and the first payload line.
+    std::array<std::byte, sizeof(CellHeader) + kCacheLineSize> lines;
     /// Poisoned pool offset the read touched, re-raised on the accessor at
     /// this cell's dequeue.
     std::optional<std::uint64_t> poison;
+    [[nodiscard]] CellHeader header() const noexcept;
+    [[nodiscard]] const std::byte* first_line() const noexcept {
+      return lines.data() + sizeof(CellHeader);
+    }
   };
-  std::optional<PeekedCell> peeked_;
+  /// Consumer-side: the cells of the last gather; peeked_[peeked_next_] is
+  /// the cell at head_local_ while peeked_next_ < peeked_.size(). Reserved
+  /// for kGatherCells at the first gather, so a view allocates it once and
+  /// a ring view that never consumes carries no storage.
+  std::vector<PeekedCell> peeked_;
+  std::size_t peeked_next_ = 0;
+  [[nodiscard]] bool has_peeked() const noexcept {
+    return peeked_next_ < peeked_.size();
+  }
+  /// Read the published cells from head_local_ on, up to kGatherCells,
+  /// into peeked_ (one gathered wave). Call with none peeked and at least
+  /// one visible.
+  void gather(cxlsim::Accessor& acc);
   /// Consumer-side: the most recently dequeued cell lacked kLastChunk, so
   /// the next cell is owed as part of the same message.
   bool mid_message_ = false;

@@ -17,6 +17,14 @@
 namespace cmpi::arena {
 namespace {
 
+/// `prefix` followed by the decimal `i`. Built by appending: GCC 12's
+/// -Wrestrict misfires on a one-character literal + std::to_string.
+std::string numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 class ArenaTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -174,7 +182,7 @@ TEST_F(ArenaTest, HashCapacityExceededWhenAllLevelsTaken) {
   int created = 0;
   bool saw_capacity = false;
   for (int i = 0; i < 64 && !saw_capacity; ++i) {
-    auto r = a.create("o" + std::to_string(i), 64);
+    auto r = a.create(numbered("o", i), 64);
     if (r.is_ok()) {
       ++created;
     } else {
@@ -198,7 +206,7 @@ TEST_F(ArenaTest, FormatOverRecycledRegionReadsClean) {
   const auto create_all = [](Arena& a) {
     int created = 0;
     for (int i = 0; i < 64; ++i) {
-      created += a.create("o" + std::to_string(i), 64).is_ok() ? 1 : 0;
+      created += a.create(numbered("o", i), 64).is_ok() ? 1 : 0;
     }
     return created;
   };
@@ -296,8 +304,7 @@ TEST_F(ArenaTest, ConcurrentCreatesFromManyNodes) {
       cxlsim::Accessor acc(*device_, cache, clock);
       Arena arena = check_ok(Arena::attach(acc, 0, t + 1));
       for (int i = 0; i < kPerThread; ++i) {
-        check_ok(arena.create("t" + std::to_string(t) + "_" +
-                              std::to_string(i), 256));
+        check_ok(arena.create(numbered("t", t) + numbered("_", i), 256));
       }
     });
   }
@@ -309,7 +316,7 @@ TEST_F(ArenaTest, ConcurrentCreatesFromManyNodes) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
       EXPECT_TRUE(bootstrap
-                      .open("t" + std::to_string(t) + "_" + std::to_string(i))
+                      .open(numbered("t", t) + numbered("_", i))
                       .is_ok());
     }
   }

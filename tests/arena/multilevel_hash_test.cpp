@@ -10,6 +10,14 @@
 namespace cmpi::arena {
 namespace {
 
+/// `prefix` followed by the decimal `i`. Built by appending: GCC 12's
+/// -Wrestrict misfires on a one-character literal + std::to_string.
+std::string numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 TEST(MultilevelHash, LevelCountsAreDistinctDescendingPrimes) {
   const auto index = check_ok(MultilevelHash::create(5, 1000));
   ASSERT_EQ(index.levels(), 5u);
@@ -73,8 +81,8 @@ TEST(MultilevelHash, LevelsUseIndependentHashes) {
   int level0_collisions = 0;
   int both_collide = 0;
   for (int i = 0; i < 500; ++i) {
-    const std::string a = "x" + std::to_string(i);
-    const std::string b = "y" + std::to_string(i);
+    const std::string a = numbered("x", i);
+    const std::string b = numbered("y", i);
     if (index.slot_of(a, 0) == index.slot_of(b, 0)) {
       ++level0_collisions;
       if (index.slot_of(a, 1) == index.slot_of(b, 1)) {

@@ -8,6 +8,14 @@
 namespace cmpi {
 namespace {
 
+/// `prefix` followed by the decimal `i`. Built by appending: GCC 12's
+/// -Wrestrict misfires on a one-character literal + std::to_string.
+std::string numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 TEST(Hash, Deterministic) {
   EXPECT_EQ(hash_string("rma_window_0"), hash_string("rma_window_0"));
   EXPECT_EQ(hash_string("x", 7), hash_string("x", 7));
@@ -33,8 +41,8 @@ TEST(Hash, SeedsActAsIndependentFunctions) {
   int both_collide = 0;
   int first_collide = 0;
   for (int i = 0; i < 2000; ++i) {
-    const std::string a = "a" + std::to_string(i);
-    const std::string b = "b" + std::to_string(i);
+    const std::string a = numbered("a", i);
+    const std::string b = numbered("b", i);
     const bool c1 = hash_string(a, 1) % kBuckets == hash_string(b, 1) % kBuckets;
     const bool c2 = hash_string(a, 2) % kBuckets == hash_string(b, 2) % kBuckets;
     first_collide += c1 ? 1 : 0;

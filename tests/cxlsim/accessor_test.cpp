@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -244,6 +247,115 @@ TEST_F(AccessorTest, PeekFlagDoesNotAdvanceClock) {
   const simtime::Ns before = clock_b_.now();
   (void)acc_b_->peek_flag(128_KiB);
   EXPECT_DOUBLE_EQ(clock_b_.now(), before);
+}
+
+// --- Gathered reads (nt_load_gather) ---
+
+/// `count` ranges of `size` bytes, `stride` apart from `base`, each
+/// reading into its own slice of `out`.
+std::vector<Accessor::GatherRange> gather_ranges(std::uint64_t base,
+                                                 std::size_t stride,
+                                                 std::size_t size,
+                                                 std::size_t count,
+                                                 std::vector<std::byte>& out) {
+  out.assign(size * count, std::byte{0});
+  std::vector<Accessor::GatherRange> ranges(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ranges[i].offset = base + i * stride;
+    ranges[i].dst = std::span(out).subspan(i * size, size);
+  }
+  return ranges;
+}
+
+TEST_F(AccessorTest, GatheredReadReturnsWhatPerRangeNtLoadsReturn) {
+  // Eight 128-byte ranges, 320 bytes apart: one wave of 16 line fills.
+  const auto data = pattern(8 * 320, 4);
+  acc_a_->nt_store(192, data);
+  std::vector<std::byte> gathered;
+  auto ranges = gather_ranges(192, 320, 128, 8, gathered);
+  acc_b_->nt_load_gather(ranges);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    std::vector<std::byte> single(128);
+    acc_a_->nt_load(ranges[i].offset, single);
+    EXPECT_TRUE(std::equal(single.begin(), single.end(),
+                           ranges[i].dst.begin()))
+        << "range " << i;
+    EXPECT_FALSE(ranges[i].poison.has_value());
+  }
+}
+
+TEST_F(AccessorTest, GatheredReadChargesOneNtLoadOfTheSummedBytes) {
+  // One device read reservation and one line-fill latency for the wave,
+  // exactly what a single nt_load of 8 x 128 bytes costs.
+  std::vector<std::byte> gathered;
+  auto ranges = gather_ranges(0, 320, 128, 8, gathered);
+  acc_a_->nt_load_gather(ranges);
+  // The reference load runs on a device of its own, so neither read
+  // queues behind the other.
+  auto device = check_ok(DaxDevice::create(kDaxAlignment));
+  CacheSim cache(*device);
+  simtime::VClock clock;
+  Accessor reference(*device, cache, clock);
+  std::vector<std::byte> whole(8 * 128);
+  reference.nt_load(0, whole);
+  EXPECT_DOUBLE_EQ(clock_a_.now(), clock.now());
+  const auto& p = device_->timing().params();
+  EXPECT_LT(clock_a_.now(), 2 * p.line_fill_latency);
+}
+
+TEST_F(AccessorTest, GatheredReadCountsOneAccessPerRange) {
+  // Crash-at-Nth schedules count a gather of four ranges as four
+  // accesses, performed in order: a crash scripted at the 3rd fires inside
+  // the gather, and one scripted at the 6th fires at the access after it.
+  FaultPlan plan;
+  plan.crash_at_access = {{.rank = 0, .nth = 3}, {.rank = 1, .nth = 6}};
+  FaultInjector& fi = device_->install_fault_plan(plan);
+  std::vector<std::byte> gathered;
+  auto ranges = gather_ranges(0, 320, 128, 4, gathered);
+  FaultInjector::set_current_rank(0);
+  EXPECT_THROW(acc_a_->nt_load_gather(ranges), RankCrashed);
+  EXPECT_TRUE(fi.rank_crashed(0));
+  FaultInjector::set_current_rank(1);
+  acc_b_->nt_load_gather(ranges);
+  EXPECT_FALSE(fi.rank_crashed(1));
+  acc_b_->nt_load_u64(0);  // 5th access
+  EXPECT_FALSE(fi.rank_crashed(1));
+  EXPECT_THROW(acc_b_->nt_load_u64(0), RankCrashed);
+  FaultInjector::set_current_rank(-1);
+}
+
+TEST_F(AccessorTest, GatheredReadParksPoisonPerRange) {
+  // Poison in the third range lands on that range alone; poison pending
+  // from an earlier read stays raised on the accessor.
+  FaultInjector& fi = device_->install_fault_plan(FaultPlan{});
+  fi.poison(2 * 320 + 64, 64);
+  fi.poison(64_KiB, 64);
+  std::byte earlier[64];
+  acc_a_->nt_load(64_KiB, earlier);
+  ASSERT_TRUE(acc_a_->poison_pending());
+  std::vector<std::byte> gathered;
+  auto ranges = gather_ranges(0, 320, 128, 4, gathered);
+  acc_a_->nt_load_gather(ranges);
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(ranges[i].poison.has_value(), i == 2) << "range " << i;
+  }
+  EXPECT_EQ(ranges[2].poison, std::optional<std::uint64_t>(2 * 320));
+  const Status st = acc_a_->take_poison_status("test");
+  EXPECT_EQ(st.code(), ErrorCode::kDataPoisoned);
+  EXPECT_NE(st.message().find(std::to_string(64_KiB)), std::string::npos);
+  acc_a_->nt_load_gather(ranges);
+  EXPECT_FALSE(acc_a_->poison_pending());
+}
+
+TEST_F(AccessorTest, GatheredReadRefusesMoreThanOneWave) {
+  // Nine 128-byte ranges are 18 line fills: past kLineFillBuffers.
+  std::vector<std::byte> gathered;
+  auto ranges = gather_ranges(0, 320, 128, 9, gathered);
+  EXPECT_DEATH(acc_a_->nt_load_gather(ranges), "precondition");
+  // One range that spans more than a wave of lines is refused too.
+  std::vector<std::byte> wide((kLineFillBuffers + 1) * kCacheLineSize);
+  Accessor::GatherRange one{.offset = 0, .dst = wide, .poison = {}};
+  EXPECT_DEATH(acc_a_->nt_load_gather({&one, 1}), "precondition");
 }
 
 }  // namespace

@@ -33,9 +33,9 @@ TEST(CxlTiming, UncachedZeroSizeStillCostsOneLine) {
 TEST(CxlTiming, CpuCopyCostLinearBelowThreshold) {
   CxlTimingModel model{CxlTimingParams{}};
   const auto& p = model.params();
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(1024),
+  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(1024, /*streams=*/1),
                    1024 / p.cpu_copy_bytes_per_ns);
-  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(0), 0.0);
+  EXPECT_DOUBLE_EQ(model.cpu_copy_cost(0, /*streams=*/1), 0.0);
 }
 
 TEST(CxlTiming, CpuCopySoloStreamNeverDegrades) {

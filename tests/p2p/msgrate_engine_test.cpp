@@ -17,6 +17,9 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+
 namespace cmpi::p2p {
 namespace {
 
@@ -263,6 +266,47 @@ TEST(PublishBatching, BurstOfNonblockingSendsCoalescesPublishes) {
       }
     }
   });
+}
+
+TEST(GatheredReads, WindowOfSmallSendsIsReadEightCellsPerWave) {
+  // A 64 x 8 B isend window into 8-cell rings: the sender publishes a
+  // full ring at a time (each publish waits for the receiver to free all
+  // eight cells, which it frees in one head publish), and the receiver
+  // reads each publish with one gathered peek of its eight cells.
+  constexpr int kWindow = 64;
+  obs::Config metrics_on;
+  metrics_on.metrics = true;
+  obs::configure(metrics_on);
+  obs::MetricsRegistry::instance().reset_for_test();
+  runtime::Universe universe(engine_config(2, 256, 8));
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    ctx.barrier();
+    std::vector<std::vector<std::byte>> bufs(kWindow,
+                                             std::vector<std::byte>(8));
+    std::vector<RequestPtr> reqs;
+    reqs.reserve(kWindow);
+    for (int i = 0; i < kWindow; ++i) {
+      auto& buf = bufs[static_cast<std::size_t>(i)];
+      if (ctx.rank() == 0) {
+        buf = pattern(8, i);
+        reqs.push_back(ep.isend(1, i, buf));
+      } else {
+        reqs.push_back(ep.irecv(0, i, buf));
+      }
+    }
+    check_ok(ep.wait_all(reqs));
+    if (ctx.rank() == 1) {
+      for (int i = 0; i < kWindow; ++i) {
+        EXPECT_EQ(bufs[static_cast<std::size_t>(i)], pattern(8, i));
+      }
+    }
+  });
+  const obs::Histogram& gathers =
+      obs::MetricsRegistry::instance().histogram("ring.cells_per_gather");
+  EXPECT_EQ(gathers.count(), static_cast<std::uint64_t>(kWindow / 8));
+  EXPECT_DOUBLE_EQ(gathers.sum(), kWindow);
+  obs::configure(obs::Config{});
 }
 
 }  // namespace

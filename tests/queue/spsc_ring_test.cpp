@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,40 @@ class SpscRingTest : public ::testing::Test {
         check_ok(SpscRing::attach(*producer_acc_, 0)));
     consumer_ = std::make_unique<SpscRing>(
         check_ok(SpscRing::attach(*consumer_acc_, 0)));
+  }
+
+  /// Re-format the ring as `cells` cells of `payload` bytes and re-attach
+  /// both views.
+  void reformat(std::size_t cells, std::size_t payload) {
+    SpscRing::format(*producer_acc_, 0, cells, payload);
+    producer_ = std::make_unique<SpscRing>(
+        check_ok(SpscRing::attach(*producer_acc_, 0)));
+    consumer_ = std::make_unique<SpscRing>(
+        check_ok(SpscRing::attach(*consumer_acc_, 0)));
+  }
+
+  /// Publish `count` 8-byte messages tagged first_tag, first_tag + 1, ...
+  void publish(int count, int first_tag = 0) {
+    for (int i = 0; i < count; ++i) {
+      const auto payload = pattern(8, first_tag + i);
+      ASSERT_TRUE(producer_->try_stage(*producer_acc_,
+                                       header_for(payload, first_tag + i),
+                                       payload));
+    }
+    producer_->publish_staged(*producer_acc_);
+  }
+
+  /// Virtual time one nt_load of `bytes` takes a rank at `start` on an idle
+  /// device of the fixture's geometry.
+  static simtime::Ns nt_load_cost(simtime::Ns start, std::size_t bytes) {
+    auto device = check_ok(cxlsim::DaxDevice::create(8_MiB));
+    cxlsim::CacheSim cache(*device);
+    simtime::VClock clock;
+    clock.advance(start);
+    cxlsim::Accessor acc(*device, cache, clock);
+    std::vector<std::byte> out(bytes);
+    acc.nt_load(0, out);
+    return clock.now() - start;
   }
 
   static CellHeader header_for(std::span<const std::byte> payload,
@@ -192,6 +228,92 @@ TEST_F(SpscRingTest, RepeatedPeekOfSameCellIsTimeFree) {
   const auto fresh = consumer_->peek(*consumer_acc_);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->tag, 10u);
+}
+
+TEST_F(SpscRingTest, FirstPeekGathersEveryPublishedCellInOneRead) {
+  // With k cells published and the consumer idle (its clock past every
+  // stamp), the first peek reads all k in one wave: one nt_load of
+  // k x 128 bytes (header + first payload line per cell). Later peeks and
+  // the dequeues of the gathered cells charge no read.
+  constexpr std::size_t kFused = sizeof(CellHeader) + kCacheLineSize;
+  // A wave is 16 line fills, two per cell: a default 8-cell ring is read
+  // in one go.
+  static_assert(SpscRing::kGatherCells == 8);
+  for (int k = 1; k <= 8; ++k) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    reformat(16, kCacheLineSize);
+    publish(k);
+    consumer_clock_.advance(1e6);
+    consumer_->defer_head_publish(true);
+    ASSERT_TRUE(consumer_->can_dequeue(*consumer_acc_));  // the tail read
+    const simtime::Ns start = consumer_clock_.now();
+    ASSERT_TRUE(consumer_->peek(*consumer_acc_).has_value());
+    const simtime::Ns gathered = consumer_clock_.now();
+    EXPECT_DOUBLE_EQ(gathered - start,
+                     nt_load_cost(start, static_cast<std::size_t>(k) * kFused));
+    std::vector<std::byte> got(kCacheLineSize);
+    for (int i = 0; i < k; ++i) {
+      const auto peeked = consumer_->peek(*consumer_acc_);
+      ASSERT_TRUE(peeked.has_value());
+      EXPECT_EQ(peeked->tag, static_cast<std::uint32_t>(i));
+      CellHeader out{};
+      ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+      EXPECT_EQ(out.tag, static_cast<std::uint32_t>(i));
+      EXPECT_TRUE(consumer_->last_dequeue_intact());
+      const auto expected = pattern(8, i);
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin()));
+    }
+    EXPECT_DOUBLE_EQ(consumer_clock_.now(), gathered);
+    consumer_->flush_head(*consumer_acc_);
+  }
+}
+
+TEST_F(SpscRingTest, NinthPublishedCellStartsANewWave) {
+  // A wave covers kGatherCells cells; the next published cell past it is
+  // read by a wave of its own when the consumer reaches it.
+  constexpr std::size_t kFused = sizeof(CellHeader) + kCacheLineSize;
+  reformat(16, kCacheLineSize);
+  const int waves_worth = static_cast<int>(SpscRing::kGatherCells);
+  publish(waves_worth + 1);
+  consumer_clock_.advance(1e6);
+  consumer_->defer_head_publish(true);
+  std::vector<std::byte> got(kCacheLineSize);
+  CellHeader out{};
+  for (int i = 0; i < waves_worth; ++i) {
+    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  }
+  const simtime::Ns start = consumer_clock_.now();
+  const auto ninth = consumer_->peek(*consumer_acc_);
+  ASSERT_TRUE(ninth.has_value());
+  EXPECT_EQ(ninth->tag, static_cast<std::uint32_t>(waves_worth));
+  EXPECT_DOUBLE_EQ(consumer_clock_.now() - start, nt_load_cost(start, kFused));
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  EXPECT_EQ(out.tag, static_cast<std::uint32_t>(waves_worth));
+  EXPECT_FALSE(consumer_->peek(*consumer_acc_).has_value());
+}
+
+TEST_F(SpscRingTest, ScavengeAndRebaseConsumeGatheredCellsInOrder) {
+  // scavenge_producer drains the gathered cells first, then the rest, and
+  // leaves the ring empty and reusable; a rebase forgets gathered cells.
+  reformat(16, kCacheLineSize);
+  publish(12);
+  ASSERT_TRUE(consumer_->peek(*consumer_acc_).has_value());
+  const SpscRing::ScavengeCounts counts =
+      consumer_->scavenge_producer(*consumer_acc_);
+  EXPECT_EQ(counts.drained, 12u);
+  EXPECT_EQ(counts.torn, 0u);
+  EXPECT_FALSE(consumer_->peek(*consumer_acc_).has_value());
+  publish(1, 40);
+  const auto next = consumer_->peek(*consumer_acc_);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->tag, 40u);
+  producer_->debug_rebase_counters(*producer_acc_, 100);
+  consumer_->debug_rebase_counters(*consumer_acc_, 100);
+  EXPECT_FALSE(consumer_->peek(*consumer_acc_).has_value());
+  publish(1, 41);
+  const auto after = consumer_->peek(*consumer_acc_);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->tag, 41u);
 }
 
 TEST_F(SpscRingTest, IndexWraparoundAtUint64Max) {

@@ -492,13 +492,19 @@ TEST(PayloadIntegrity, PersistentDamageExhaustsRetriesAndSurfaces) {
   EXPECT_EQ(stats.retransmit_rejects, 0u);
 }
 
-/// A drain reaps kReapBatchCells of sender A's (rank 1) cells, then peeks
-/// A's next cell before it visits sender B (rank 2). Poison on `line` of
-/// that cell belongs to A's seq 16: exactly one NAK and one retransmission,
-/// both A's, and B's clean message goes through untouched.
-void expect_read_ahead_poison_charged_to_its_cell(std::uint64_t line) {
-  constexpr int kBurst = 20;  // A's messages; B sends one more
-  constexpr std::uint32_t kPoisoned = p2p::Endpoint::kReapBatchCells;
+/// Sender A (rank 1) publishes `burst` one-cell messages before the
+/// receiver drains; poison sits on `line` of A's cell `poisoned`, one of
+/// the last Endpoint::kRetransmitStagingDepth (A still holds its staging
+/// copy). The receiver reads A's cells ahead of consuming them: a gathered
+/// peek reads up to SpscRing::kGatherCells at once, and a drain that reaps
+/// kReapBatchCells peeks A's next cells before it visits sender B
+/// (rank 2). The poison belongs to A's seq `poisoned` wherever it was read:
+/// exactly one NAK and one retransmission, both A's, and B's clean message
+/// goes through untouched.
+void expect_read_ahead_poison_charged_to_its_cell(int burst,
+                                                  std::uint32_t poisoned,
+                                                  std::uint64_t line) {
+  // A sends `burst` messages; B sends one more.
   runtime::UniverseConfig cfg = recovery_config(3);
   cfg.ring_cells = 32;  // A's burst and its retransmission fit
   cfg.fault_plan.crash_at_sync.push_back(
@@ -516,15 +522,15 @@ void expect_read_ahead_poison_charged_to_its_cell(std::uint64_t line) {
       return ring(1) + queue::SpscRing::kCellsOffset + index * stride;
     };
     if (ctx.rank() == 0) {
-      ctx.device().fault_injector()->poison(cell_a(kPoisoned) + line, 64);
+      ctx.device().fault_injector()->poison(cell_a(poisoned) + line, 64);
     }
     ctx.barrier();
-    std::vector<std::vector<std::byte>> sent(kBurst + 1);
-    std::vector<std::vector<std::byte>> got(kBurst + 1,
+    std::vector<std::vector<std::byte>> sent(burst + 1);
+    std::vector<std::vector<std::byte>> got(burst + 1,
                                             std::vector<std::byte>(8));
     std::vector<p2p::RequestPtr> reqs;
-    for (int k = 0; k <= kBurst; ++k) {
-      const int from = k < kBurst ? 1 : 2;
+    for (int k = 0; k <= burst; ++k) {
+      const int from = k < burst ? 1 : 2;
       const auto i = static_cast<std::size_t>(k);
       sent[i] = patterned(8, 100 + i);
       if (ctx.rank() == from) {
@@ -548,19 +554,20 @@ void expect_read_ahead_poison_charged_to_its_cell(std::uint64_t line) {
     }
     EXPECT_EQ(got, sent);
     // Cells each sender ever published toward us: B's one; A's burst plus
-    // a retransmission, which must be of seq 16.
+    // a retransmission, which must be of seq `poisoned`.
     const auto tail = [&](int sender) {
       return ctx.acc()
           .peek_flag(ring(sender) + queue::SpscRing::kTailOffset)
           .value;
     };
     EXPECT_EQ(tail(2), 1u) << "B's clean message was NAKed";
-    EXPECT_EQ(tail(1), kBurst + 1u) << "A's seq 16 was never NAKed";
+    EXPECT_EQ(tail(1), burst + 1u)
+        << "A's seq " << poisoned << " was never NAKed";
     queue::CellHeader resent{};
-    ctx.acc().nt_load(cell_a(kBurst), {reinterpret_cast<std::byte*>(&resent),
+    ctx.acc().nt_load(cell_a(burst), {reinterpret_cast<std::byte*>(&resent),
                                        sizeof(resent)});
     EXPECT_NE(resent.flags & queue::kRetransmit, 0u);
-    EXPECT_EQ(resent.msg_seq, kPoisoned);
+    EXPECT_EQ(resent.msg_seq, poisoned);
     for (const int sender : {1, 2}) {
       std::byte token{0x1};
       check_ok(mpi.send(sender, 99, {&token, 1}));
@@ -573,12 +580,31 @@ void expect_read_ahead_poison_charged_to_its_cell(std::uint64_t line) {
   EXPECT_EQ(stats.crc_failures, 0u);  // media error, not bit rot
 }
 
+/// The cell past a reap batch, read before the drain visits B.
+constexpr std::uint32_t kPastReapBatch = p2p::Endpoint::kReapBatchCells;
+/// Cell 3 of a one-wave burst: the wave reads cells 0-7 at once, and cells
+/// 0-2, dequeued after it, must not pick up cell 3's poison.
+constexpr std::uint32_t kMidWave = 3;
+
 TEST(PayloadIntegrity, ReadAheadPoisonedHeaderIsChargedToItsOwnCell) {
-  expect_read_ahead_poison_charged_to_its_cell(0);
+  expect_read_ahead_poison_charged_to_its_cell(20, kPastReapBatch, 0);
 }
 
 TEST(PayloadIntegrity, ReadAheadPoisonedPayloadLineIsChargedToItsOwnCell) {
-  expect_read_ahead_poison_charged_to_its_cell(sizeof(queue::CellHeader));
+  expect_read_ahead_poison_charged_to_its_cell(20, kPastReapBatch,
+                                               sizeof(queue::CellHeader));
+}
+
+TEST(PayloadIntegrity, ReadAheadPoisonedHeaderMidWaveIsChargedToItsOwnCell) {
+  expect_read_ahead_poison_charged_to_its_cell(
+      static_cast<int>(queue::SpscRing::kGatherCells), kMidWave, 0);
+}
+
+TEST(PayloadIntegrity,
+     ReadAheadPoisonedPayloadLineMidWaveIsChargedToItsOwnCell) {
+  expect_read_ahead_poison_charged_to_its_cell(
+      static_cast<int>(queue::SpscRing::kGatherCells), kMidWave,
+      sizeof(queue::CellHeader));
 }
 
 TEST(PayloadIntegrity, SecondPoisonedCellStaysWithItsMessage) {
