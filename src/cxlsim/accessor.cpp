@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <string>
 
 #include "common/align.hpp"
@@ -238,6 +239,11 @@ std::uint64_t Accessor::peek_u64(std::uint64_t offset) {
   return cache_.nt_load_u64(offset);
 }
 
+std::uint64_t Accessor::poll_word(std::uint64_t offset) {
+  domain_check(offset, sizeof(std::uint64_t), /*is_read=*/true);
+  return cache_.nt_load_u64(offset);
+}
+
 void Accessor::bulk_write(std::uint64_t offset, std::span<const std::byte> src,
                           BulkCharge charge) {
   if (src.empty()) {
@@ -306,6 +312,25 @@ void Accessor::annotate_publish_range(std::uint64_t offset,
   if (device_.checker() != nullptr && size > 0) {
     publish_ranges_.emplace_back(offset, size);
   }
+}
+
+void Accessor::publish_store(std::uint64_t offset,
+                             std::span<const std::byte> src,
+                             std::size_t word) {
+  CMPI_EXPECTS(is_aligned(offset + word, sizeof(std::uint64_t)));
+  CMPI_EXPECTS(word + sizeof(std::uint64_t) <= src.size());
+  fault_access(offset, src.size(), /*is_read=*/false);
+  if (CoherenceChecker* chk = device_.checker()) {
+    chk->on_record_publish(&cache_, offset, publish_ranges_);
+  }
+  publish_ranges_.clear();
+  cache_.nt_store(offset, src.first(word));
+  cache_.nt_store(offset + word + sizeof(std::uint64_t),
+                  src.subspan(word + sizeof(std::uint64_t)));
+  std::uint64_t value = 0;
+  std::memcpy(&value, src.data() + word, sizeof value);
+  cache_.nt_store_u64(offset + word, value);
+  charge_nt_write(offset, src.size());
 }
 
 void Accessor::publish_flag(std::uint64_t offset, std::uint64_t value) {

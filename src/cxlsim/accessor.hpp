@@ -10,7 +10,8 @@
 //     flushed; per-line latency charges (control-plane sized data),
 //   * clflush / clflushopt / clwb + sfence/lfence — software coherence,
 //   * non-temporal ops — bypass the cache; u64 variants are the lock-free
-//     synchronization-flag primitives (head/tail pointers, PSCW flags);
+//     synchronization-flag primitives (ring head pointers, PSCW flags);
+//     a record store can itself be the publish (a ring cell header);
 //     a gathered read loads independent ranges in one overlapped wave,
 //     bounded by the core's line fill buffers (kLineFillBuffers),
 //   * bulk_write / bulk_read — streaming payload copies with the pipelined
@@ -114,6 +115,11 @@ class Accessor {
   /// Poll-read one bare u64 without charging time (failed polls are
   /// waiting, not work — the doorbell-word analogue of peek_flag).
   [[nodiscard]] std::uint64_t peek_u64(std::uint64_t offset);
+  /// Poll-read the publish word of a record stored with publish_store,
+  /// lock-free and without charging time like peek_u64, but raising no
+  /// poison: a poller reads what it found with a timed read before using
+  /// it, and that read parks or raises the poison.
+  [[nodiscard]] std::uint64_t poll_word(std::uint64_t offset);
 
   /// Fire-and-forget hint store of one u64 (doorbell words). The value is
   /// a monotonic wake-up hint that carries no payload and orders against
@@ -159,11 +165,23 @@ class Accessor {
   /// rank's clock. Call exactly once per observed transition.
   void absorb_flag(const FlagValue& flag);
 
-  /// Coherence-checker hint: declare that the NEXT publish_flag covers
-  /// `[offset, offset + size)` as payload (the reader will consume that
-  /// range after observing the flag). The checker verifies the range is
-  /// clean in the publisher's cache at publish time ("torn publish"
-  /// detection). No-op when checking is off; never affects timing.
+  /// NT-store a record whose arrival is itself the publish: a ring cell's
+  /// header, whose generation tells the consumer the cell is ready. The
+  /// record's 8-byte-aligned publish word, at `word` bytes into it, lands
+  /// last and in one atomic store, so pollers read it with poll_word and
+  /// no lock. Charged as one nt_store of the record; it does not fence,
+  /// so the caller issues the sfence that must cover the payload first.
+  /// Like publish_flag, it consumes the annotate_publish_range ranges for
+  /// the checker.
+  void publish_store(std::uint64_t offset, std::span<const std::byte> src,
+                     std::size_t word);
+
+  /// Coherence-checker hint: declare that the NEXT publish_flag or
+  /// publish_store covers `[offset, offset + size)` as payload (the reader
+  /// will consume that range after observing the publish). The checker
+  /// verifies the range is clean in the publisher's cache at publish time
+  /// ("torn publish" detection). No-op when checking is off; never affects
+  /// timing.
   void annotate_publish_range(std::uint64_t offset, std::size_t size);
 
   // --- Fault injection (see fault_injector.hpp) ---
@@ -285,7 +303,7 @@ class Accessor {
   /// depend on where the virtual clock happens to sit.
   bool writes_since_fence_ = false;
   /// Payload ranges accumulated by annotate_publish_range, consumed by the
-  /// next publish_flag.
+  /// next publish_flag or publish_store.
   std::vector<std::pair<std::uint64_t, std::size_t>> publish_ranges_;
   /// Sticky media-error flag: a read touched a poisoned range (fault
   /// injection); consumed by take_poison_status.

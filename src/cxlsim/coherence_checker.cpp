@@ -297,6 +297,19 @@ void CoherenceChecker::on_publish(
                 flag_offset) == flag_line.flag_words.end()) {
     flag_line.flag_words.push_back(flag_offset);
   }
+  check_payload_clean(cache, flag_offset, payload);
+}
+
+void CoherenceChecker::on_record_publish(
+    const CacheSim* cache, std::uint64_t record_offset,
+    std::span<const std::pair<std::uint64_t, std::size_t>> payload) {
+  std::lock_guard lock(mutex_);
+  check_payload_clean(cache, record_offset, payload);
+}
+
+void CoherenceChecker::check_payload_clean(
+    const CacheSim* cache, std::uint64_t publish_offset,
+    std::span<const std::pair<std::uint64_t, std::size_t>> payload) {
   for (const auto& [offset, size] : payload) {
     if (size == 0) {
       continue;
@@ -312,10 +325,10 @@ void CoherenceChecker::on_publish(
           own != nullptr && own->dirty) {
         char buf[160];
         std::snprintf(buf, sizeof buf,
-                      "flag @%#llx published while a covered payload line "
-                      "is still dirty in the publisher's cache (missing "
+                      "publish @%#llx while a covered payload line is "
+                      "still dirty in the publisher's cache (missing "
                       "flush before publish)",
-                      static_cast<unsigned long long>(flag_offset));
+                      static_cast<unsigned long long>(publish_offset));
         record(Kind::kTornPublish, at, "publish", buf);
       }
     }

@@ -17,8 +17,9 @@
 //   * kLostUpdate   — a store to a line concurrently dirty in another
 //                     node's cache; whichever writeback lands last silently
 //                     clobbers the other write.
-//   * kTornPublish  — a flag publish whose annotated payload lines were
-//                     still dirty in the publisher's cache (the flag becomes
+//   * kTornPublish  — a flag publish or record publish (a ring cell
+//                     header) whose annotated payload lines were still
+//                     dirty in the publisher's cache (the publish becomes
 //                     visible before the data it covers).
 //   * kFenceOrder   — a raw store to a registered flag word while the rank
 //                     had unfenced writes outstanding (publish before
@@ -135,6 +136,13 @@ class CoherenceChecker {
   void on_publish(
       const CacheSim* cache, std::uint64_t flag_offset,
       std::span<const std::pair<std::uint64_t, std::size_t>> payload);
+  /// A record store that is itself the publish (Accessor::publish_store,
+  /// a ring cell header). Verifies the annotated payload ranges as
+  /// on_publish does; registers no flag word, since the record is
+  /// rewritten whole as plain data.
+  void on_record_publish(
+      const CacheSim* cache, std::uint64_t record_offset,
+      std::span<const std::pair<std::uint64_t, std::size_t>> payload);
   /// A raw Accessor::nt_store_u64. `fenced` is false when the rank has
   /// unfenced writes outstanding.
   void on_flag_store(const CacheSim* cache, std::uint64_t offset, bool fenced);
@@ -174,6 +182,11 @@ class CoherenceChecker {
   void maybe_gc(LineMap::iterator it);
   void record(Kind kind, std::uint64_t offset, const char* op,
               std::string detail);
+  /// Shared torn-publish rule (mutex held): report every annotated
+  /// payload line still dirty in the publisher's cache.
+  void check_payload_clean(
+      const CacheSim* cache, std::uint64_t publish_offset,
+      std::span<const std::pair<std::uint64_t, std::size_t>> payload);
   /// Shared stale-read rule: report if any *other* cache holds the line
   /// dirty at a version newer than what this access can observe.
   void check_read_observes(const LineState& state, const CacheSim* cache,

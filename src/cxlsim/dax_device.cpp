@@ -150,6 +150,20 @@ void DaxDevice::discard(std::uint64_t offset, std::uint64_t size) {
   std::memset(pool_base_ + first, 0, last - first);
 }
 
+bool DaxDevice::holds_data(std::uint64_t offset, std::uint64_t size) const {
+  CMPI_EXPECTS(offset <= size_ && size <= size_ - offset);
+#if defined(__linux__)
+  const off_t data = lseek(pool_fd_, static_cast<off_t>(offset), SEEK_DATA);
+  if (data >= 0) {
+    return static_cast<std::uint64_t>(data) < offset + size;
+  }
+  if (errno == ENXIO) {
+    return false;  // no data at or past `offset`
+  }
+#endif
+  return true;
+}
+
 Status DaxDevice::set_cacheability(std::uint64_t offset, std::uint64_t size,
                                    Cacheability type) {
   if (size == 0 || offset + size > size_) {

@@ -91,6 +91,11 @@ class DaxDevice {
   /// Serialized against bulk pool copies. Pool bytes only: node caches
   /// and virtual time are CacheSim::discard's and Accessor::discard's.
   void discard(std::uint64_t offset, std::uint64_t size);
+  /// Whether any pool page overlapping [offset, offset + size) has been
+  /// written since the pool was created or the page discarded; a page that
+  /// has not reads as zeros. A host-side query of the backing memfd (no
+  /// page is touched, no virtual time); true when the host cannot tell.
+  [[nodiscard]] bool holds_data(std::uint64_t offset, std::uint64_t size) const;
 
   /// Program a cacheability range (MTRR write). Returns an error when the
   /// register file is full or the range is malformed. Not thread-safe with

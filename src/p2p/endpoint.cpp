@@ -236,7 +236,7 @@ Endpoint::~Endpoint() {
         push_sends(dst);
         control_pending = control_pending || has_control(pending);
       }
-      flush_publishes();  // push_sends defers its tail publish
+      flush_publishes();  // push_sends defers its final batch's publish
       if (!control_pending) {
         break;
       }
@@ -417,7 +417,7 @@ void Endpoint::push_sends(int dst) {
         // Scripted kill location for the recovery tests: the chunk sits in
         // its ring cell but, unless its batch was just published above, is
         // invisible to the consumer — a crash here loses the unpublished
-        // batch whole, as a host dying before its tail store would.
+        // batch whole, as a host dying before its header stores would.
         ctx_->acc().fault_sync_point("p2p-chunk-staged");
         if (last) {
           req.staged = true;
@@ -452,11 +452,11 @@ void Endpoint::push_sends(int dst) {
   }
   // Tail of a fully-staged call: park the final partial batch instead of
   // publishing, so a burst of back-to-back nonblocking sends coalesces
-  // into one fence + tail store. Every path that returns control to a
-  // consumer of this data flushes first — progress()/test()/wait entry
-  // and the destructor — so a parked batch never outlives the next
-  // engine entry. (Blocked and ring-full exits above still publish
-  // eagerly: the consumer must drain for us to make progress.)
+  // under one fence. Every path that returns control to a consumer of
+  // this data flushes first — progress()/test()/wait entry and the
+  // destructor — so a parked batch never outlives the next engine entry.
+  // (Blocked and ring-full exits above still publish eagerly: the
+  // consumer must drain for us to make progress.)
   if (ring.staged_pending() > 0) {
     publish_dirty_[static_cast<std::size_t>(dst)] = 1;
   }
@@ -585,11 +585,11 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
     header.flags = queue::kRendezvous | (last ? queue::kLastChunk : 0u) |
                    (req.synchronous ? queue::kSyncSend : 0u);
     // The RTS publish covers the slab segment too: try_enqueue's sfence
-    // drains the pending slab writes before the tail flag moves, so the
-    // receiver's slab reads causally follow a durable segment. One fence,
-    // one sweep: a descriptor written in the same pass as its segment
-    // shares the segment's sweep. One announced on a later attempt pays
-    // its own, since a fence may have intervened.
+    // drains the pending slab writes before the RTS header is stored, so
+    // the receiver's slab reads causally follow a durable segment. One
+    // fence, one sweep: a descriptor written in the same pass as its
+    // segment shares the segment's sweep. One announced on a later attempt
+    // pays its own, since a fence may have intervened.
     acc.annotate_publish_range(slab + seg_begin, seg);
     const bool enqueued = ring.try_enqueue(
         acc, header,

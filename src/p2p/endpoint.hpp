@@ -39,13 +39,14 @@
 // Message-rate engine (doorbell-aggregated progress): the progress loop
 // does not scan every peer ring. Each sender bumps its slot in the
 // receiver's pool-resident AggDoorbell row on the ring's empty→non-empty
-// edge (detected at tail publish from the consumer's published head);
+// edge (detected at publish from the consumer's published head);
 // the receiver polls its one cacheline-packed row with time-free peeks
 // and visits only peers whose slot moved, reaping up to kReapBatchCells
 // cells per visit with ONE head publish and one invalidate-sweep setup
 // per batch, each small cell read with one fused header+payload-line
-// load. Senders batch cell publication the same way (one fence + one
-// tail store per staged batch), and a burst of nonblocking sends parks
+// load. Senders batch cell publication the same way (one fence per
+// staged batch, then each cell's header store publishes it), and a burst
+// of nonblocking sends parks
 // its final partial batch across calls — flushed at every
 // progress/test/wait entry and in the destructor — so an isend storm
 // coalesces into few publishes. This is the only data path: fault-
@@ -131,9 +132,9 @@ struct CommStats {
   /// Rendezvous-eligible messages delivered eagerly instead (arena slot
   /// unavailable, or the arena lock deadline expired behind a corpse).
   std::atomic<std::uint64_t> rendezvous_fallbacks{0};
-  /// Producer-side publish flushes (each one fence + one tail store
-  /// covering a whole staged batch; per-cell publishes count as batches
-  /// of one).
+  /// Producer-side publish flushes (each one fence covering a whole
+  /// staged batch, then its cells' header stores; per-cell publishes
+  /// count as batches of one).
   std::atomic<std::uint64_t> publish_batches{0};
   /// Cells covered by those flushes. cells_published / publish_batches is
   /// the producer batching rate — 1.0 means batching never engaged.
@@ -256,9 +257,9 @@ class Endpoint {
   /// Producer-side batch bounds: staged cells are published when either
   /// the cell count or the staged payload bytes reach these. A final
   /// partial batch is left parked across nonblocking sends, so a burst of
-  /// isends coalesces into one fence + tail store; it is flushed at every
-  /// engine entry (progress/test/wait) and in the destructor, and any
-  /// blocked or ring-full exit publishes eagerly. The byte bound keeps
+  /// isends coalesces under one fence; it is flushed at every engine
+  /// entry (progress/test/wait) and in the destructor, and any blocked or
+  /// ring-full exit publishes eagerly. The byte bound keeps
   /// large-cell streams pipelining per cell instead of collapsing into
   /// batch-lockstep.
   static constexpr std::size_t kPublishBatchCells = 16;
@@ -501,9 +502,9 @@ class Endpoint {
   Status wait_uncharged(const RequestPtr& request);
   bool match_unexpected(Request& request);
 
-  /// Publish any staged cells on `ring` toward `dst` now (one fence + one
-  /// tail store for the whole batch) and ring/suppress the doorbell from
-  /// the batch's empty→non-empty verdict.
+  /// Publish any staged cells on `ring` toward `dst` now (one fence for
+  /// the whole batch, then each cell's header store) and ring/suppress the
+  /// doorbell from the batch's empty→non-empty verdict.
   void publish_now(int dst, queue::SpscRing& ring);
   /// Publish every ring with a parked partial batch (see
   /// kPublishBatchCells): the flush point batched nonblocking sends rely

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -23,10 +24,51 @@ void SpscRing::format(cxlsim::Accessor& acc, std::uint64_t base,
   CMPI_EXPECTS(cell_payload >= kCacheLineSize &&
                cell_payload <= kMaxCellPayload);
   CMPI_EXPECTS(is_aligned(cell_payload, kCacheLineSize));
-  acc.publish_flag(base + kTailOffset, 0);
+  // Every cell starts free: its generation matches no index the consumer
+  // polls for before the producer first publishes there. A header on a
+  // pool page never written reads as zeros, and generation 0 matches no
+  // first-lap index but 0, so on fresh pages only cell 0 needs its stamp:
+  // the other cells' pages stay untouched (on the host, unallocated) until
+  // traffic reaches them. Anything already there is stamped over.
+  const SpscRing ring(base, cells, cell_payload);
+  if (acc.device().holds_data(ring.cell_base(1),
+                              (cells - 1) * (sizeof(CellHeader) +
+                                             cell_payload))) {
+    ring.stamp_lap_before(acc, 0);
+  } else {
+    ring.stamp_free(acc, 0 - cells);
+  }
   acc.publish_flag(base + kHeadOffset, 0);
   acc.nt_store_u64(base + kConstOffset, cells);
   acc.nt_store_u64(base + kConstOffset + 8, cell_payload);
+}
+
+void SpscRing::stamp_free(cxlsim::Accessor& acc, std::uint64_t index) const {
+  CellHeader free_cell{};
+  free_cell.generation = static_cast<std::uint32_t>(index);
+  acc.nt_store(cell_base(index),
+               {reinterpret_cast<const std::byte*>(&free_cell),
+                sizeof(CellHeader)});
+}
+
+void SpscRing::stamp_lap_before(cxlsim::Accessor& acc,
+                                std::uint64_t count) const {
+  for (std::uint64_t index = count - cells_; index != count; ++index) {
+    stamp_free(acc, index);
+  }
+}
+
+std::uint64_t SpscRing::published_run_end(cxlsim::Accessor& acc,
+                                          std::uint64_t index,
+                                          std::uint64_t max) const {
+  for (const std::uint64_t end = index + max; index != end; ++index) {
+    const std::uint64_t word = acc.poll_word(cell_base(index) + kPublishWord);
+    if (static_cast<std::uint32_t>(word >> 32) !=
+        static_cast<std::uint32_t>(index)) {
+      break;
+    }
+  }
+  return index;
 }
 
 Result<SpscRing> SpscRing::attach(cxlsim::Accessor& acc, std::uint64_t base) {
@@ -58,22 +100,19 @@ Result<SpscRing> SpscRing::attach(cxlsim::Accessor& acc, std::uint64_t base) {
         " cell_payload=" + std::to_string(cell_payload));
   }
   SpscRing ring(base, cells, cell_payload);
-  // Resume from the published counters: a freshly formatted ring has both
-  // at zero, a re-attach (respawn / second run epoch) picks up exactly
-  // where the last published state left the FIFO.
-  const std::uint64_t tail = acc.peek_flag(base + kTailOffset).value;
+  // Resume from the published state: a freshly formatted ring has its head
+  // at zero and no published cell, a re-attach (respawn / second run
+  // epoch) picks up exactly where the last published state left the FIFO.
+  // Cells the consumer dequeued past its published head keep their
+  // generations until the producer sees that head, so the run of
+  // published cells from the published head ends at the producer's last
+  // published cell.
   const std::uint64_t head = acc.peek_flag(base + kHeadOffset).value;
-  if (tail - head > cells) {
-    return status::corrupt_pool(
-        "ring counters corrupt: tail=" + std::to_string(tail) +
-        " head=" + std::to_string(head) + " capacity=" +
-        std::to_string(cells));
-  }
+  const std::uint64_t tail = ring.published_run_end(acc, head, cells);
   ring.tail_local_ = tail;
   ring.head_local_ = head;
   ring.peer_head_ = head;
-  ring.peer_tail_ = tail;
-  ring.published_tail_ = tail;
+  ring.visible_ = tail;
   ring.head_published_ = head;
   return ring;
 }
@@ -146,51 +185,50 @@ bool SpscRing::publish_staged(cxlsim::Accessor& acc) {
     return false;
   }
   // One drain for the whole batch: every header stamp below covers every
-  // staged payload.
+  // staged payload. Each header store then publishes its cell; nothing
+  // else is stored, and the header writes drain at the next fence.
   acc.sfence();
-  std::uint64_t index = published_tail_;
+  const std::uint64_t first = tail_local_ - staged_.size();
+  std::uint64_t index = first;
   for (Staged& staged : staged_) {
     const std::uint64_t cell = cell_base(index);
     staged.header.stamp = std::bit_cast<std::uint64_t>(acc.clock().now());
-    acc.nt_store(cell, {reinterpret_cast<const std::byte*>(&staged.header),
-                        sizeof(CellHeader)});
-    // Coherence-checker hint: the tail publish covers this cell (header +
-    // payload); the consumer reads it after observing the flag.
-    acc.annotate_publish_range(cell,
-                               sizeof(CellHeader) + staged.payload_bytes);
+    // Coherence-checker hint: the header store covers this cell's payload;
+    // the consumer reads it after observing the generation.
+    acc.annotate_publish_range(cell + sizeof(CellHeader),
+                               staged.payload_bytes);
+    acc.publish_store(cell,
+                      {reinterpret_cast<const std::byte*>(&staged.header),
+                       sizeof(CellHeader)},
+                      kPublishWord);
     ++index;
   }
-  CMPI_ASSERT(index == tail_local_);
   CMPI_OBS_HIST("ring.cells_per_publish",
                 static_cast<std::int64_t>(staged_.size()));
-  const std::uint64_t before = published_tail_;
-  acc.publish_flag(base_ + kTailOffset, tail_local_);
-  published_tail_ = tail_local_;
   staged_.clear();
-  // Empty→non-empty edge: if the consumer's published head says it had
-  // drained everything visible before this batch, it may have concluded
-  // "empty" and gone idle — the caller must ring its doorbell. The peek is
-  // time-free; a consumer that merely lags its head publish flushes it
-  // before concluding empty (see defer_head_publish), so a false here
-  // guarantees the consumer still sees a non-empty ring.
+  // Empty→non-empty edge: each header store publishes its own cell, so the
+  // consumer may have drained any prefix of this batch and concluded
+  // "empty" at the first cell it found unpublished. If its published head
+  // lies in the batch, it may have gone idle — the caller must ring its
+  // doorbell. The peek is time-free; a consumer that merely lags its head
+  // publish flushes it before concluding empty (see defer_head_publish),
+  // so a head before the batch guarantees the consumer still sees a
+  // non-empty ring. Host-side, the fence pairs with can_dequeue's: the
+  // header stores are ordered before this load, as the consumer's head
+  // store is before its poll, so one side sees the other's store.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   const std::uint64_t head = acc.peek_flag(base_ + kHeadOffset).value;
-  last_publish_edge_ = head == before;
+  last_publish_edge_ = head - first < tail_local_ - first;
   return last_publish_edge_;
 }
 
 bool SpscRing::can_dequeue(cxlsim::Accessor& acc) {
-  if (peer_tail_ != head_local_) {
-    return true;
+  if (visible_ == head_local_) {
+    // Pairs with publish_staged's fence (host memory order only).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    visible_ = published_run_end(acc, head_local_, 1);
   }
-  const auto tail = acc.peek_flag(base_ + kTailOffset);
-  if (tail.value != peer_tail_) {
-    // Charge the flag read, but take causality from the per-cell stamp at
-    // dequeue time — the tail stamp reflects only the newest publish.
-    acc.clock().advance(
-        acc.device().timing().params().nt_load_latency);
-    peer_tail_ = tail.value;
-  }
-  return peer_tail_ != head_local_;
+  return visible_ != head_local_;
 }
 
 std::optional<CellHeader> SpscRing::peek(cxlsim::Accessor& acc) {
@@ -216,8 +254,12 @@ void SpscRing::gather(cxlsim::Accessor& acc) {
   // and its address is known: the loads are independent, one wave. Each
   // reads the header line and the first payload line (every cell has one:
   // cell_payload >= 64), so a small-message dequeue needs no payload read.
+  const std::uint64_t known = visible_ - head_local_;
+  if (known < kGatherCells) {
+    visible_ = published_run_end(acc, visible_, kGatherCells - known);
+  }
   const auto cells = static_cast<std::size_t>(
-      std::min<std::uint64_t>(peer_tail_ - head_local_, kGatherCells));
+      std::min<std::uint64_t>(visible_ - head_local_, kGatherCells));
   if (peeked_.capacity() == 0) {
     peeked_.reserve(kGatherCells);
   }
@@ -253,8 +295,7 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
   }
   const std::uint64_t cell = cell_base(head_local_);
   CMPI_ASSERT(header_out.chunk_bytes <= cell_payload_);
-  last_intact_ =
-      header_out.generation == static_cast<std::uint32_t>(head_local_);
+  last_intact_ = true;
   if (!payload_out.empty()) {
     CMPI_EXPECTS(payload_out.size() >= header_out.chunk_bytes);
     const auto chunk = payload_out.subspan(0, header_out.chunk_bytes);
@@ -274,7 +315,7 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
     // End-to-end integrity: the CRC is over what we actually copied out,
     // so corruption anywhere between the producer's staging copy and this
     // read is caught here. Host-side work only — no virtual time charged.
-    last_intact_ = last_intact_ && crc32c(chunk) == header_out.payload_crc;
+    last_intact_ = crc32c(chunk) == header_out.payload_crc;
   }
   // Release stamp for a producer blocked on this very cell.
   acc.node_cache().nt_store_u64(
@@ -324,11 +365,9 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
     }
     acc.clock().observe(std::bit_cast<simtime::Ns>(header.stamp));
     // Do not trust the header: a torn cell's chunk_bytes could index out
-    // of the cell. Validate generation first and clamp the payload walk.
-    const bool generation_ok =
-        header.generation == static_cast<std::uint32_t>(head_local_);
-    const bool bounds_ok = header.chunk_bytes <= cell_payload_;
-    bool intact = generation_ok && bounds_ok;
+    // of the cell (the generation poll matched it to its slot, nothing
+    // more). Clamp the payload walk.
+    bool intact = header.chunk_bytes <= cell_payload_;
     if (intact && header.chunk_bytes > 0) {
       const auto chunk = std::span<std::byte>(scratch)
                              .subspan(0, header.chunk_bytes);
@@ -358,13 +397,12 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
 
 void SpscRing::debug_rebase_counters(cxlsim::Accessor& acc,
                                      std::uint64_t count) {
-  acc.publish_flag(base_ + kTailOffset, count);
+  stamp_lap_before(acc, count);
   acc.publish_flag(base_ + kHeadOffset, count);
   tail_local_ = count;
   head_local_ = count;
   peer_head_ = count;
-  peer_tail_ = count;
-  published_tail_ = count;
+  visible_ = count;
   head_published_ = count;
   staged_.clear();
   read_setup_charged_ = false;

@@ -4,13 +4,13 @@
 // lock-free implementations need atomic RMW — which the pooled CXL device
 // cannot provide across heads. cMPI's answer is a matrix of SPSC rings,
 // one per (sender, receiver) pair: with exactly one producer and one
-// consumer, head and tail are single-writer words and plain NT
-// stores/loads (plus flushes for payload) suffice.
+// consumer, the head word and each header's publish fields have a single
+// writer, and plain NT stores/loads (plus flushes for payload) suffice.
 //
 // Ring layout in CXL SHM (every section cacheline-separated so the
 // producer-written and consumer-written lines never false-share):
 //
-//   +0    tail flag  (producer publishes: count of cells ever enqueued)
+//   +0    unused
 //   +64   head flag  (consumer publishes: count of cells ever dequeued)
 //   +128  u64 capacity, u64 cell_payload  (constants, set at format)
 //   +192  cells: capacity * (64-byte header + cell_payload)
@@ -21,18 +21,26 @@
 //   u32 flags (bit0: last chunk), u32 msg_seq, u32 generation,
 //   u64 stamp, u64 freed_stamp
 //
-// The recovery fields make every cell scannable after a crash:
-// `generation` is the low half of the free-running enqueue index, so a
-// cell whose generation disagrees with the slot it occupies is torn or
-// stale; `payload_crc` (CRC32C, stamped by the ring at enqueue, verified
-// at dequeue) catches payload corruption end to end; `src_incarnation`
-// lets the consumer fence out messages published by a dead incarnation of
-// the producer after a respawn (see runtime::PoolRecovery).
+// A cell is published by its header store: `generation` is the low half
+// of the free-running enqueue index, so a cell is published exactly when
+// the generation it carries is that of the index the consumer expects at
+// its slot. Every other value is a free cell's: format gives every cell
+// the lap before's generation (on pool pages never written, every cell
+// but cell 0 already reads as zeros, which match no first-lap index), so
+// no never-written cell or leftover of an earlier ring at the same offset
+// validates; and the producer overwrites a cell only after the consumer
+// has freed it. The consumer polls the generation of the cell at its
+// head; the producer resumes after the run of published cells that
+// starts at the head. The other recovery fields: `payload_crc` (CRC32C,
+// stamped by the ring at enqueue, verified at dequeue) catches payload
+// corruption end to end; `src_incarnation` lets the consumer fence out
+// messages published by a dead incarnation of the producer after a
+// respawn (see runtime::PoolRecovery).
 //
 // `stamp` is the producer's virtual time when THIS cell's payload was
 // durable in the pool; `freed_stamp` is the consumer's time when it
 // finished with the cell. Each side absorbs the *per-cell* stamp of the
-// cell it consumes, never the head/tail flag's stamp: the flags only carry
+// cell it consumes, never the head flag's stamp: the flag only carries
 // the newest publish time, and absorbing that would serialize an in-flight
 // pipeline into batch-lockstep and halve streaming throughput. The
 // consumer absorbs at dequeue, not at peek (see peek()).
@@ -42,6 +50,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -106,8 +115,9 @@ class SpscRing {
   /// geometry constants (range, alignment, device bounds) and fails with a
   /// Status for a corrupted or mis-formatted ring — cell_base arithmetic
   /// on garbage constants would index out of bounds. The view's local
-  /// counters are restored from the published head/tail flags, so a
-  /// re-attach (respawned rank, second Universe::run epoch) resumes
+  /// counters are restored from the published head and the run of
+  /// published cells after it (an untimed scan of their generations), so
+  /// a re-attach (respawned rank, second Universe::run epoch) resumes
   /// exactly at the published state: cells a crashed producer staged but
   /// never published are simply lost, as a real crash would lose them.
   static Result<SpscRing> attach(cxlsim::Accessor& acc, std::uint64_t base);
@@ -134,11 +144,11 @@ class SpscRing {
 
   // ---- Producer side: staged batches ----
   // The message-rate path amortizes the per-cell publish cost: stage K
-  // cells (payload copies only), then publish_staged() makes them all
-  // visible under ONE fence + ONE tail-flag store. Headers are written at
-  // publish time so every cell's stamp still covers its durable payload.
-  // Staged-but-unpublished cells are lost on a crash, exactly like a real
-  // producer dying between memcpy and store-release.
+  // cells (payload copies only), then publish_staged() makes them visible
+  // under ONE fence, each through its own header store. Headers are
+  // written at publish time so every cell's stamp still covers its
+  // durable payload. Staged-but-unpublished cells are lost on a crash,
+  // exactly like a real producer dying between memcpy and store-release.
 
   /// Stage one chunk without publishing it. Same contract as try_enqueue
   /// (false when the ring is full), but the consumer cannot see the cell
@@ -159,12 +169,14 @@ class SpscRing {
   [[nodiscard]] std::size_t staged_pending() const noexcept {
     return staged_.size();
   }
-  /// Publish all staged cells: one fence, per-cell header stores, one tail
-  /// flag. Returns the empty→non-empty edge verdict: true when the
-  /// published head shows the consumer had drained everything published
-  /// before this batch — it may have concluded "empty" and gone idle, so
-  /// the producer must ring the receiver's doorbell. False with nothing
-  /// staged.
+  /// Publish all staged cells: one fence, then per-cell header stores,
+  /// each of which publishes its cell (no second fence: the header writes
+  /// drain at the producer's next fence). Returns the empty→non-empty edge
+  /// verdict: true when the published head lies in this batch, i.e. the
+  /// consumer had drained everything published before it and perhaps a
+  /// prefix of it (the cells turn visible one header at a time) — it may
+  /// have concluded "empty" and gone idle, so the producer must ring the
+  /// receiver's doorbell. False with nothing staged.
   bool publish_staged(cxlsim::Accessor& acc);
   /// Edge verdict of the most recent publish (publish_staged directly, or
   /// the one embedded in try_enqueue). Lets callers that publish per cell
@@ -175,7 +187,10 @@ class SpscRing {
   }
 
   // ---- Consumer side ----
-  /// True if a cell is available to dequeue.
+  /// True if a cell is available to dequeue. Polls the generation of the
+  /// cell at the head without charging time: a failed poll is waiting,
+  /// not work, and a successful one is paid for by the gathered read that
+  /// fetches the cell (peek()).
   [[nodiscard]] bool can_dequeue(cxlsim::Accessor& acc);
 
   /// Peek the header of the next cell without consuming it. Returns
@@ -185,14 +200,15 @@ class SpscRing {
   /// has asked for yet. try_dequeue absorbs it.
   ///
   /// Reads are fused and gathered. When the next cell has not been read
-  /// yet, the peek reads every published, unconsumed cell the consumer
-  /// knows of, up to kGatherCells, in one wave (Accessor::nt_load_gather):
-  /// for each, the header line and the first payload line. Their
-  /// addresses are known and the loads independent, so the wave costs one
-  /// line-fill latency however many cells it covers (a wave is
-  /// cxlsim::kLineFillBuffers line fills at most, which makes
-  /// kGatherCells = 8; one visible cell is a wave of one). Later peeks,
-  /// and the dequeues of the gathered cells, charge no read: iprobe/probe
+  /// yet, the peek polls (untimed) how many cells from the head on are
+  /// published, up to kGatherCells, and reads them all in one wave
+  /// (Accessor::nt_load_gather): for each, the header line and the first
+  /// payload line. Their addresses are known and the loads independent,
+  /// so the wave costs one line-fill latency however many cells it covers
+  /// (a wave is cxlsim::kLineFillBuffers line fills at most, which makes
+  /// kGatherCells = 8; one visible cell is a wave of one). That wave is the
+  /// only read a receive pays before its payload copy. Later peeks, and
+  /// the dequeues of the gathered cells, charge no read: iprobe/probe
   /// polling loops advance virtual time by zero, and a dequeue whose chunk
   /// fits the prefetched line skips the payload read (and its invalidate
   /// sweep) entirely. This is the dominant per-message receiver cost at
@@ -202,13 +218,14 @@ class SpscRing {
   /// whatever the caller reads next: it is parked with the cell and
   /// re-raised when that cell is dequeued, so a consumer that reads ahead
   /// (the rest of a wave, or one cell past a reap batch) never charges it
-  /// to another message.
+  /// to another message. The generation polls raise none: the gather
+  /// re-reads every header they found published and parks its poison.
   std::optional<CellHeader> peek(cxlsim::Accessor& acc);
 
   /// Dequeue the next cell into `payload_out` (must be >= chunk_bytes of
   /// the peeked header; pass empty to discard). Returns false when empty.
-  /// Reads the cell through peek() if no peek has read it yet; its CRC,
-  /// generation and poison are checked per cell.
+  /// Reads the cell through peek() if no peek has read it yet; its CRC
+  /// and poison are checked per cell.
   /// The cell's stamp is absorbed before the payload read unless
   /// `absorb_stamp` is false: then the caller keeps `header_out.stamp`,
   /// plus the time this call took, and absorbs it when it consumes what
@@ -236,9 +253,9 @@ class SpscRing {
   [[nodiscard]] bool abandoned_mid_message(cxlsim::Accessor& acc);
 
   /// True when the payload copied out by the last try_dequeue matched the
-  /// header's CRC32C and the cell's generation matched its slot. A false
-  /// reading means the cell was torn or the payload corrupted in the pool;
-  /// the p2p layer turns this into a NAK + retransmission.
+  /// header's CRC32C (the generation poll already matched the cell to its
+  /// slot). A false reading means the payload was torn or corrupted in the
+  /// pool; the p2p layer turns this into a NAK + retransmission.
   [[nodiscard]] bool last_dequeue_intact() const noexcept {
     return last_intact_;
   }
@@ -256,25 +273,26 @@ class SpscRing {
   /// Consumer-side tally from scavenge_producer().
   struct ScavengeCounts {
     std::uint64_t drained = 0;  ///< published cells consumed and discarded
-    std::uint64_t torn = 0;     ///< cells failing the generation/CRC scan
+    std::uint64_t torn = 0;     ///< cells failing the bounds/CRC scan
   };
 
   /// Survivor-side fsck of a dead producer's ring: consume every published
-  /// cell, validating generation + CRC without trusting the header (a torn
-  /// header cannot index out of bounds here), and publish the advanced
-  /// head so the ring is empty and reusable by the producer's next
-  /// incarnation. The consumer view stays coherent for subsequent traffic.
+  /// cell (the run of matching generations from the head), validating
+  /// bounds + CRC without trusting the header (a torn header cannot index
+  /// out of bounds here), and publish the advanced head so the ring is
+  /// empty and reusable by the producer's next incarnation. The consumer
+  /// view stays coherent for subsequent traffic.
   ScavengeCounts scavenge_producer(cxlsim::Accessor& acc);
 
-  /// Test hook: re-base both the shared flags and this view's local
-  /// counters to `count`, as if `count` cells had already flowed through
-  /// the ring. Call on an idle ring, on every attached view, with the same
-  /// value (used to exercise the 2^64 index wraparound).
+  /// Test hook: re-base the head flag, every cell's generation (to the lap
+  /// before `count`) and this view's local counters, as if `count` cells
+  /// had already flowed through the ring. Call on an idle ring, on every
+  /// attached view, with the same value (used to exercise the 2^64 index
+  /// wraparound).
   void debug_rebase_counters(cxlsim::Accessor& acc, std::uint64_t count);
 
   // On-pool layout (public: recovery tooling and fault-injection tests
   // compute cell addresses from these).
-  static constexpr std::uint64_t kTailOffset = 0;
   static constexpr std::uint64_t kHeadOffset = kCacheLineSize;
   static constexpr std::uint64_t kConstOffset = 2 * kCacheLineSize;
   static constexpr std::uint64_t kCellsOffset = 3 * kCacheLineSize;
@@ -288,7 +306,8 @@ class SpscRing {
       : base_(base), cells_(cells), cell_payload_(cell_payload) {}
 
   /// A staged-but-unpublished cell: the payload is already in the pool,
-  /// the header (with its durability stamp) is written at publish time.
+  /// the header (with its durability stamp) is written at publish time,
+  /// and that store publishes the cell.
   struct Staged {
     CellHeader header;
     std::uint32_t payload_bytes;
@@ -298,16 +317,36 @@ class SpscRing {
     return base_ + kCellsOffset +
            (index % cells_) * (sizeof(CellHeader) + cell_payload_);
   }
+  /// The header's publish word, stored last and atomically by
+  /// publish_staged and polled lock-free by the consumer: msg_seq in its
+  /// low half, the generation in its high half.
+  static constexpr std::size_t kPublishWord = offsetof(CellHeader, msg_seq);
+  static_assert(kPublishWord % sizeof(std::uint64_t) == 0);
+  static_assert(offsetof(CellHeader, generation) == kPublishWord + 4 &&
+                std::endian::native == std::endian::little);
+
+  /// One past the run of published cells that starts at `index`, looking
+  /// at `max` cells at most: a cell is published when its generation is
+  /// that of the index it is polled for (untimed poll_word reads).
+  [[nodiscard]] std::uint64_t published_run_end(cxlsim::Accessor& acc,
+                                                std::uint64_t index,
+                                                std::uint64_t max) const;
+  /// Store into the cell of `index` a free header carrying that index's
+  /// generation: no consumer poll matches it until the producer publishes
+  /// there one lap later.
+  void stamp_free(cxlsim::Accessor& acc, std::uint64_t index) const;
+  /// stamp_free every cell for the lap before `count`.
+  void stamp_lap_before(cxlsim::Accessor& acc, std::uint64_t count) const;
 
   std::uint64_t base_;
   std::size_t cells_;
   std::size_t cell_payload_;
   // Producer- and consumer-local cached counters. Each side only trusts its
-  // own counter plus the peer's published flag.
+  // own counter plus what the peer published.
   std::uint64_t tail_local_ = 0;  // producer: cells enqueued
   std::uint64_t head_local_ = 0;  // consumer: cells dequeued
   std::uint64_t peer_head_ = 0;   // producer's last view of head
-  std::uint64_t peer_tail_ = 0;   // consumer's last view of tail
+  std::uint64_t visible_ = 0;     // consumer: end of the polled published run
   /// A published, unconsumed cell as peek()'s gather read it.
   struct PeekedCell {
     /// The header line and the first payload line.
@@ -329,20 +368,17 @@ class SpscRing {
   [[nodiscard]] bool has_peeked() const noexcept {
     return peeked_next_ < peeked_.size();
   }
-  /// Read the published cells from head_local_ on, up to kGatherCells,
-  /// into peeked_ (one gathered wave). Call with none peeked and at least
-  /// one visible.
+  /// Poll how many cells from head_local_ on are published, up to
+  /// kGatherCells, and read them into peeked_ (one gathered wave). Call
+  /// with none peeked and at least one visible.
   void gather(cxlsim::Accessor& acc);
   /// Consumer-side: the most recently dequeued cell lacked kLastChunk, so
   /// the next cell is owed as part of the same message.
   bool mid_message_ = false;
   /// Consumer-side: generation/CRC verdict of the last dequeued cell.
   bool last_intact_ = true;
-  /// Producer-side: cells staged ahead of the published tail.
+  /// Producer-side: cells staged ahead of the last published cell.
   std::vector<Staged> staged_;
-  /// Producer-side: value the tail flag currently holds in the pool
-  /// (tail_local_ minus the staged cells).
-  std::uint64_t published_tail_ = 0;
   /// Producer-side: edge verdict of the most recent publish.
   bool last_publish_edge_ = false;
   /// Consumer-side: value the head flag currently holds in the pool.

@@ -124,5 +124,18 @@ TEST(DaxDevice, DiscardZeroesExactlyItsRange) {
   munmap(other, span);
 }
 
+TEST(DaxDevice, HoldsDataTracksWrittenAndDiscardedPages) {
+  auto device = check_ok(DaxDevice::create(std::size_t{8} << 20));
+  const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_FALSE(device->holds_data(0, device->size()));
+  device->pool()[3 * page + 5] = std::byte{1};
+  EXPECT_TRUE(device->holds_data(3 * page + 100, 1));
+  EXPECT_TRUE(device->holds_data(0, 4 * page));
+  EXPECT_FALSE(device->holds_data(0, 3 * page));
+  EXPECT_FALSE(device->holds_data(4 * page, device->size() - 4 * page));
+  device->discard(3 * page, page);
+  EXPECT_FALSE(device->holds_data(0, device->size()));
+}
+
 }  // namespace
 }  // namespace cmpi::cxlsim

@@ -1,9 +1,9 @@
 // Failure injection: what happens when a producer VIOLATES the §3.5
 // software-coherence discipline. These tests manipulate the documented
-// ring layout directly (tail flag at +0, head at +64, cells at +192) to
-// build broken producers, and show exactly the corruption the paper's
-// protocol placement prevents — evidence that the discipline in SpscRing
-// is load-bearing, not ceremonial.
+// ring layout directly (head at +64, cells at +192, each published by its
+// header's generation) to build broken producers, and show exactly the
+// corruption the paper's protocol placement prevents — evidence that the
+// discipline in SpscRing is load-bearing, not ceremonial.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +16,6 @@ namespace {
 
 constexpr std::size_t kCells = 4;
 constexpr std::size_t kPayload = 256;
-constexpr std::uint64_t kTailFlag = 0;
 constexpr std::uint64_t kCellsAt = 192;
 
 class CoherenceViolationTest : public ::testing::Test {
@@ -35,12 +34,15 @@ class CoherenceViolationTest : public ::testing::Test {
     ring_ = std::make_unique<SpscRing>(check_ok(SpscRing::attach(*consumer_, 0)));
   }
 
+  /// Header of the first message through the ring: generation 0 is what
+  /// publishes cell 0.
   CellHeader header_for(std::size_t bytes) {
     CellHeader h{};
     h.src_rank = 1;
     h.total_bytes = bytes;
     h.chunk_bytes = bytes;
     h.flags = kLastChunk;
+    h.generation = 0;
     return h;
   }
 
@@ -56,30 +58,34 @@ class CoherenceViolationTest : public ::testing::Test {
 
 TEST_F(CoherenceViolationTest, UnflushedPayloadIsStaleAtConsumer) {
   // Rogue producer: writes header and payload with plain CACHED stores
-  // (no flush), then publishes the tail. The consumer observes the flag
-  // (NT, pool-visible) but reads the cell's pool bytes — which are still
-  // the old zeros because the payload sits dirty in the producer's cache.
+  // (no flush). The header never reaches the pool, so the cell does not
+  // publish at all: the message is lost, not delivered.
   const std::vector<std::byte> payload(kPayload, std::byte{0xAB});
-  CellHeader h = header_for(kPayload);
-  producer_->store(kCellsAt, {reinterpret_cast<const std::byte*>(&h),
-                              sizeof h});  // cached, never flushed
+  const CellHeader h = header_for(kPayload);
+  const std::span<const std::byte> header_bytes{
+      reinterpret_cast<const std::byte*>(&h), sizeof h};
+  producer_->store(kCellsAt, header_bytes);  // cached, never flushed
   producer_->store(kCellsAt + sizeof(CellHeader), payload);
-  producer_->publish_flag(kTailFlag, 1);  // flag IS visible (NT)
+  EXPECT_FALSE(ring_->can_dequeue(*consumer_));
 
+  // It then publishes through the header (NT, pool-visible) but still
+  // never flushes the payload. The consumer observes the generation and
+  // reads the cell's pool bytes — which are still the old zeros because
+  // the payload sits dirty in the producer's cache.
+  producer_->nt_store(kCellsAt, header_bytes);
   CellHeader out{};
   std::vector<std::byte> got(kPayload, std::byte{0x55});
   // The ring believes a message is available...
   ASSERT_TRUE(ring_->try_dequeue(*consumer_, out, got));
+  EXPECT_EQ(out.chunk_bytes, kPayload);
   // ...but the payload is stale zeros, not 0xAB: data corruption.
   EXPECT_NE(std::to_integer<int>(got[0]), 0xAB);
-  // The header is corrupt too (all zeros ⇒ chunk_bytes 0).
-  EXPECT_EQ(out.chunk_bytes, 0u);
 }
 
 TEST_F(CoherenceViolationTest, FlushWithoutFenceOrderingHoleIsClosedByPublish) {
-  // A correct producer's publish_flag fences first; this test shows the
-  // fence is what guarantees the payload reached the pool before the flag
-  // did. We emulate the correct path piecewise and check pool contents at
+  // A correct producer fences before its header store publishes a cell;
+  // this test shows the fence is what guarantees the payload reached the
+  // pool before the header did. We emulate the correct path piecewise and check pool contents at
   // each step.
   const std::vector<std::byte> payload(kPayload, std::byte{0x7E});
   producer_->store(kCellsAt + sizeof(CellHeader), payload);
@@ -89,7 +95,8 @@ TEST_F(CoherenceViolationTest, FlushWithoutFenceOrderingHoleIsClosedByPublish) {
   EXPECT_EQ(std::to_integer<int>(probe[0]), 0);
   producer_->clflushopt(kCellsAt + sizeof(CellHeader), kPayload);
   producer_->sfence();
-  // Flushed + fenced: pool holds the data, and only now may the flag go up.
+  // Flushed + fenced: pool holds the data, and only now may the header
+  // go out.
   consumer_->nt_load(kCellsAt + sizeof(CellHeader), probe);
   EXPECT_EQ(std::to_integer<int>(probe[0]), 0x7E);
 }

@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "cxlsim/fault_injector.hpp"
 
 namespace cmpi::queue {
 namespace {
@@ -65,6 +66,50 @@ class SpscRingTest : public ::testing::Test {
     std::vector<std::byte> out(bytes);
     acc.nt_load(0, out);
     return clock.now() - start;
+  }
+
+  /// Virtual time a rank that bulk-writes `payload_bytes` into the first
+  /// cell's payload at `start` then spends on one sfence plus one header
+  /// store, on an idle device of the fixture's geometry. `staged_at` gets
+  /// the time the bulk write returned.
+  static simtime::Ns fence_and_header_cost(simtime::Ns start,
+                                           std::size_t payload_bytes,
+                                           simtime::Ns& staged_at) {
+    auto device = check_ok(cxlsim::DaxDevice::create(8_MiB));
+    cxlsim::CacheSim cache(*device);
+    simtime::VClock clock;
+    clock.advance(start);
+    cxlsim::Accessor acc(*device, cache, clock);
+    const std::vector<std::byte> payload(payload_bytes);
+    acc.bulk_write(SpscRing::kCellsOffset + sizeof(CellHeader), payload);
+    staged_at = clock.now();
+    acc.sfence();
+    const CellHeader header{};
+    acc.nt_store(SpscRing::kCellsOffset,
+                 {reinterpret_cast<const std::byte*>(&header),
+                  sizeof(CellHeader)});
+    return clock.now() - staged_at;
+  }
+
+  /// Stream `count` one-cell messages tagged first_tag, first_tag + 1, ...
+  /// through the ring one at a time, checking before each publish that no
+  /// cell validates early: the consumer sees nothing, and a producer view
+  /// attached now (it scans every cell's generation from the published
+  /// head) resumes exactly at the producer's tail.
+  void expect_cells_validate_only_once_published(int count,
+                                                 int first_tag = 0) {
+    std::vector<std::byte> got(kPayload);
+    for (int i = 0; i < count; ++i) {
+      SCOPED_TRACE("message " + std::to_string(i));
+      EXPECT_FALSE(consumer_->can_dequeue(*consumer_acc_));
+      EXPECT_EQ(check_ok(SpscRing::attach(*producer_acc_, 0)).tail_index(),
+                producer_->tail_index());
+      publish(1, first_tag + i);
+      CellHeader out{};
+      ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+      EXPECT_EQ(out.tag, static_cast<std::uint32_t>(first_tag + i));
+      EXPECT_TRUE(consumer_->last_dequeue_intact());
+    }
   }
 
   static CellHeader header_for(std::span<const std::byte> payload,
@@ -245,7 +290,7 @@ TEST_F(SpscRingTest, FirstPeekGathersEveryPublishedCellInOneRead) {
     publish(k);
     consumer_clock_.advance(1e6);
     consumer_->defer_head_publish(true);
-    ASSERT_TRUE(consumer_->can_dequeue(*consumer_acc_));  // the tail read
+    ASSERT_TRUE(consumer_->can_dequeue(*consumer_acc_));  // the poll
     const simtime::Ns start = consumer_clock_.now();
     ASSERT_TRUE(consumer_->peek(*consumer_acc_).has_value());
     const simtime::Ns gathered = consumer_clock_.now();
@@ -290,6 +335,191 @@ TEST_F(SpscRingTest, NinthPublishedCellStartsANewWave) {
   ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
   EXPECT_EQ(out.tag, static_cast<std::uint32_t>(waves_worth));
   EXPECT_FALSE(consumer_->peek(*consumer_acc_).has_value());
+}
+
+TEST_F(SpscRingTest, HeaderStorePublishesAStagedCell) {
+  // A staged cell is invisible until publish_staged stores its header, and
+  // visible right after. The producer pays one sfence plus the header's
+  // issue (no second fence, no flag store); the consumer's first receive
+  // pays exactly one gathered read (the generation polls are free).
+  constexpr std::size_t kFused = sizeof(CellHeader) + kCacheLineSize;
+  const auto payload = pattern(8, 5);
+  const simtime::Ns start = producer_clock_.now();
+  ASSERT_TRUE(producer_->try_stage(*producer_acc_, header_for(payload, 5),
+                                   payload));
+  const simtime::Ns staged = producer_clock_.now();
+  EXPECT_FALSE(consumer_->can_dequeue(*consumer_acc_));
+  EXPECT_FALSE(consumer_->peek(*consumer_acc_).has_value());
+  simtime::Ns twin_staged = 0;
+  const simtime::Ns publish_cost =
+      fence_and_header_cost(start, payload.size(), twin_staged);
+  EXPECT_DOUBLE_EQ(staged - start, twin_staged - start);
+  producer_->publish_staged(*producer_acc_);
+  EXPECT_DOUBLE_EQ(producer_clock_.now() - staged, publish_cost);
+  EXPECT_EQ(producer_->staged_pending(), 0u);
+
+  consumer_clock_.advance(1e6);  // idle, past the producer's stamp
+  consumer_->defer_head_publish(true);
+  const simtime::Ns recv_start = consumer_clock_.now();
+  ASSERT_TRUE(consumer_->can_dequeue(*consumer_acc_));
+  EXPECT_DOUBLE_EQ(consumer_clock_.now(), recv_start);
+  CellHeader out{};
+  std::vector<std::byte> got(kPayload);
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  EXPECT_DOUBLE_EQ(consumer_clock_.now() - recv_start,
+                   nt_load_cost(recv_start, kFused));
+  EXPECT_EQ(out.tag, 5u);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), got.begin()));
+  consumer_->flush_head(*consumer_acc_);
+}
+
+TEST_F(SpscRingTest, PublishEdgeCoversAConsumerIdleInsideTheBatch) {
+  // Cells of a batch turn visible one header store at a time, so a
+  // consumer can drain the batch's first cells and go idle at the first
+  // one still unpublished. A published head anywhere in the batch is an
+  // empty→non-empty edge; a head before the batch is not (the consumer
+  // still has earlier cells to drain and will reach this batch).
+  publish(1);
+  EXPECT_TRUE(producer_->last_publish_edge());  // head 0, batch [0, 1)
+  publish(2);
+  EXPECT_FALSE(producer_->last_publish_edge());  // head 0, batch [1, 3)
+  CellHeader out{};
+  std::vector<std::byte> got(kPayload);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  }
+  publish(2);
+  EXPECT_TRUE(producer_->last_publish_edge());  // head 3, batch [3, 5)
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  }
+  // Batch [5, 7): the consumer drained cell 5 while cell 6's header was
+  // still unwritten, and sits idle with its head published at 6.
+  for (int i = 0; i < 2; ++i) {
+    const auto payload = pattern(8, i);
+    ASSERT_TRUE(
+        producer_->try_stage(*producer_acc_, header_for(payload, i), payload));
+  }
+  consumer_acc_->publish_flag(SpscRing::kHeadOffset, 6);
+  EXPECT_TRUE(producer_->publish_staged(*producer_acc_));
+}
+
+TEST_F(SpscRingTest, NeverWrittenAndPreviousLapCellsDoNotValidate) {
+  // The fixture's ring sits on never-written pool memory; three laps make
+  // every slot hold a previous-lap cell before it is republished.
+  expect_cells_validate_only_once_published(3 * static_cast<int>(kCells));
+}
+
+TEST_F(SpscRingTest, FormatLeavesAFreshRingsCellPagesUntouched) {
+  // 16 KiB cells put every header on a page of its own. On pool pages
+  // never written, format stamps cell 0 only (the others read as zeros,
+  // which match no first-lap index), and no cell validates early.
+  constexpr std::size_t kBigPayload = 16384;
+  const std::uint64_t stride = sizeof(CellHeader) + kBigPayload;
+  ASSERT_FALSE(device_->holds_data(SpscRing::kCellsOffset + stride,
+                                   (kCells - 1) * stride));
+  reformat(kCells, kBigPayload);
+  EXPECT_FALSE(device_->holds_data(SpscRing::kCellsOffset + stride,
+                                   (kCells - 1) * stride));
+  expect_cells_validate_only_once_published(3 * static_cast<int>(kCells));
+}
+
+TEST_F(SpscRingTest, LeftoversOfAnEarlierRingDoNotValidate) {
+  // An earlier ring of the same geometry left published, unconsumed cells
+  // whose generations are exactly what the new ring's first lap expects.
+  publish(static_cast<int>(kCells) - 1);
+  reformat(kCells, kPayload);
+  expect_cells_validate_only_once_published(2 * static_cast<int>(kCells));
+  // Junk at every header position of a different geometry: headers that
+  // claim indices 0..cells-1 wherever the new ring will put its cells.
+  constexpr std::size_t kCellsB = 8;
+  constexpr std::size_t kPayloadB = kCacheLineSize;
+  for (std::size_t i = 0; i < kCellsB; ++i) {
+    CellHeader junk{};
+    junk.generation = static_cast<std::uint32_t>(i);
+    junk.chunk_bytes = 8;
+    producer_acc_->nt_store(
+        SpscRing::kCellsOffset + i * (sizeof(CellHeader) + kPayloadB),
+        {reinterpret_cast<const std::byte*>(&junk), sizeof junk});
+  }
+  reformat(kCellsB, kPayloadB);
+  expect_cells_validate_only_once_published(2 * static_cast<int>(kCellsB));
+}
+
+TEST_F(SpscRingTest, CellsDoNotValidateEarlyAcrossTheGenerationWrap) {
+  // The u32 generation wraps to 0 at index 2^32 while the u64 index runs
+  // on: the slot of index 2^32 last held index 2^32 - cells.
+  const std::uint64_t start = (std::uint64_t{1} << 32) - 2 * kCells;
+  producer_->debug_rebase_counters(*producer_acc_, start);
+  consumer_->debug_rebase_counters(*consumer_acc_, start);
+  expect_cells_validate_only_once_published(4 * static_cast<int>(kCells));
+}
+
+TEST_F(SpscRingTest, CellsDoNotValidateEarlyAfterARebaseNearTheTop) {
+  // Rebasing re-stamps every cell to the lap before the new count: none of
+  // the cells traffic left behind validates at 2^64 - 3 or after the u64
+  // index wraps.
+  publish(static_cast<int>(kCells) - 1);
+  const std::uint64_t start = std::uint64_t{0} - 3;
+  producer_->debug_rebase_counters(*producer_acc_, start);
+  consumer_->debug_rebase_counters(*consumer_acc_, start);
+  expect_cells_validate_only_once_published(3 * static_cast<int>(kCells));
+}
+
+TEST_F(SpscRingTest, ReattachedProducerResumesAfterTheLastPublishedCell) {
+  // The producer dies between a payload write and its header store: the
+  // staged cell never publishes, and a producer view attached afterwards
+  // resumes right after the last published cell, reusing the dead cell.
+  publish(2, 10);
+  const auto lost = pattern(8, 99);
+  ASSERT_TRUE(producer_->try_stage(*producer_acc_, header_for(lost, 99),
+                                   lost));
+  producer_.reset();  // crash: the staged header is never stored
+  producer_ = std::make_unique<SpscRing>(
+      check_ok(SpscRing::attach(*producer_acc_, 0)));
+  EXPECT_EQ(producer_->tail_index(), 2u);
+  publish(1, 12);
+  std::vector<std::byte> got(kPayload);
+  for (int tag = 10; tag <= 12; ++tag) {
+    CellHeader out{};
+    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+    EXPECT_EQ(out.tag, static_cast<std::uint32_t>(tag));
+    EXPECT_TRUE(consumer_->last_dequeue_intact());
+    const auto expected = pattern(8, tag);
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), got.begin()));
+  }
+  EXPECT_FALSE(consumer_->can_dequeue(*consumer_acc_));
+}
+
+TEST_F(SpscRingTest, PollOfAPoisonedHeaderParksThePoisonWithItsCell) {
+  // The untimed generation poll raises no poison: the gather re-reads each
+  // header the poll found published and parks its poison with that cell,
+  // and an unpublished cell's poison waits for its own read.
+  cxlsim::FaultInjector& fi =
+      device_->install_fault_plan(cxlsim::FaultPlan{});
+  const std::uint64_t stride = sizeof(CellHeader) + kPayload;
+  fi.poison(SpscRing::kCellsOffset, sizeof(CellHeader));           // cell 0
+  fi.poison(SpscRing::kCellsOffset + 2 * stride, sizeof(CellHeader));  // 2
+  publish(2);
+  ASSERT_TRUE(consumer_->can_dequeue(*consumer_acc_));  // polls cell 0
+  EXPECT_FALSE(consumer_acc_->poison_pending());
+  ASSERT_TRUE(consumer_->peek(*consumer_acc_).has_value());  // polls 1, 2
+  EXPECT_FALSE(consumer_acc_->poison_pending());
+  std::vector<std::byte> got(kPayload);
+  CellHeader out{};
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  EXPECT_EQ(out.tag, 0u);
+  EXPECT_TRUE(consumer_acc_->poison_pending());  // cell 0's own poison
+  EXPECT_FALSE(consumer_acc_->take_poison_status("cell 0").is_ok());
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  EXPECT_EQ(out.tag, 1u);
+  EXPECT_FALSE(consumer_acc_->poison_pending());  // clean cell 1
+  EXPECT_FALSE(consumer_->can_dequeue(*consumer_acc_));  // polls cell 2
+  EXPECT_FALSE(consumer_acc_->poison_pending());
+  publish(1, 2);
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  EXPECT_EQ(out.tag, 2u);
+  EXPECT_TRUE(consumer_acc_->poison_pending());  // cell 2's own poison
 }
 
 TEST_F(SpscRingTest, ScavengeAndRebaseConsumeGatheredCellsInOrder) {

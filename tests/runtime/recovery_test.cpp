@@ -76,6 +76,13 @@ std::vector<std::byte> patterned(std::size_t size, std::uint64_t seed) {
   return data;
 }
 
+/// Cells ever published into the ring at `ring_base`: a producer view
+/// attached now resumes after the last of them, which attach finds by
+/// scanning the cells' generations from the published head.
+std::uint64_t published_cells(runtime::RankCtx& ctx, std::uint64_t ring_base) {
+  return check_ok(queue::SpscRing::attach(ctx.acc(), ring_base)).tail_index();
+}
+
 // ---------------------------------------------------------------------
 // Scavenge: arena bytes, ring cells, exactly-once ledger.
 
@@ -417,9 +424,7 @@ TEST(PayloadIntegrity, BitFlippedCellFailsCrcAndIsRetransmitted) {
           mpi.endpoint().debug_ring_base(/*receiver=*/0, /*sender=*/1);
       // Wait (wall clock) until the sender has published cell 0...
       const auto deadline = std::chrono::steady_clock::now() + 10s;
-      while (ctx.acc()
-                 .peek_flag(ring_base + queue::SpscRing::kTailOffset)
-                 .value == 0) {
+      while (published_cells(ctx, ring_base) == 0) {
         ASSERT_LT(std::chrono::steady_clock::now(), deadline)
             << "sender never staged the message";
         std::this_thread::sleep_for(1ms);
@@ -556,9 +561,7 @@ void expect_read_ahead_poison_charged_to_its_cell(int burst,
     // Cells each sender ever published toward us: B's one; A's burst plus
     // a retransmission, which must be of seq `poisoned`.
     const auto tail = [&](int sender) {
-      return ctx.acc()
-          .peek_flag(ring(sender) + queue::SpscRing::kTailOffset)
-          .value;
+      return published_cells(ctx, ring(sender));
     };
     EXPECT_EQ(tail(2), 1u) << "B's clean message was NAKed";
     EXPECT_EQ(tail(1), burst + 1u)
@@ -654,10 +657,7 @@ TEST(PayloadIntegrity, SecondPoisonedCellStaysWithItsMessage) {
     }
     EXPECT_EQ(got_a, msg_a);
     EXPECT_EQ(got_b, msg_b);
-    EXPECT_EQ(ctx.acc()
-                  .peek_flag(ring(2) + queue::SpscRing::kTailOffset)
-                  .value,
-              1u)
+    EXPECT_EQ(published_cells(ctx, ring(2)), 1u)
         << "B's clean message was NAKed";
     for (const int sender : {1, 2}) {
       std::byte token{0x1};
