@@ -36,9 +36,8 @@ int main(int argc, char** argv) {
     // Below the threshold both series run the identical eager path, so
     // restrict the comparison to the sizes the rendezvous path actually
     // handles (otherwise sub-threshold jitter pollutes the headline).
-    const std::size_t threshold = opts.rendezvous_threshold == 0
-                                      ? opts.cell_payload
-                                      : opts.rendezvous_threshold;
+    const std::size_t threshold = p2p::Endpoint::rendezvous_threshold_for(
+        opts.rendezvous_threshold, opts.cell_payload);
     for (const int procs : opts.procs) {
       const std::string suffix = " (" + std::to_string(procs) + "p)";
       double ratio = 0;

@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "osu/drivers.hpp"
 #include "osu/report.hpp"
+#include "p2p/endpoint.hpp"
 
 namespace cmpi::bench {
 
@@ -87,13 +88,12 @@ inline osu::SweepParams sweep_params(const FigureOptions& opts, int procs) {
 /// numbers, so a checked-in BENCH_*.json records its own provenance.
 inline std::vector<std::pair<std::string, std::string>> json_metadata(
     const FigureOptions& opts) {
-  const std::size_t effective_threshold =
-      opts.rendezvous_threshold == 0 ? opts.cell_payload
-                                     : opts.rendezvous_threshold;
+  const std::size_t threshold = p2p::Endpoint::rendezvous_threshold_for(
+      opts.rendezvous_threshold, opts.cell_payload);
   return {
       {"cell_payload", std::to_string(opts.cell_payload)},
       {"rendezvous_threshold",
-       opts.eager_only ? "disabled" : std::to_string(effective_threshold)},
+       opts.eager_only ? "disabled" : std::to_string(threshold)},
       {"iters", std::to_string(opts.iters)},
       {"warmup", std::to_string(opts.warmup)},
       {"max_size", std::to_string(opts.max_size)},

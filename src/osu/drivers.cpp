@@ -60,9 +60,6 @@ runtime::UniverseConfig bench_universe_config(const SweepParams& params) {
   cfg.cell_payload = params.cell_payload;
   cfg.ring_cells = params.ring_cells;
   cfg.rendezvous_threshold = params.rendezvous_threshold;
-  cfg.rendezvous_quantum = params.rendezvous_quantum;
-  cfg.rendezvous_inflight = params.rendezvous_inflight;
-  cfg.tune = params.tune;
   cfg.arena_params.levels = 4;
   cfg.arena_params.level1_buckets = 127;
   // Pool: ring matrix + windows + metadata, with generous slack. The memfd

@@ -40,16 +40,9 @@ struct SweepParams {
   std::size_t cell_payload = 64 * 1024;
   std::size_t ring_cells = 8;
   /// Two-sided rendezvous threshold: 0 = library default (one cell
-  /// payload); SIZE_MAX effectively disables the large-message path so a
-  /// sweep can measure the eager-only baseline.
+  /// payload); SIZE_MAX disables the large-message path so a sweep can
+  /// measure the eager-only baseline.
   std::size_t rendezvous_threshold = 0;
-  /// Rendezvous pipeline quantum / inflight depth (0 = library defaults) —
-  /// the knobs bench/autotune sweeps alongside the Fig 9 axes.
-  std::size_t rendezvous_quantum = 0;
-  std::size_t rendezvous_inflight = 0;
-  /// Tuning options forwarded to the UniverseConfig (kAuto = follow
-  /// CMPI_TUNE and CMPI_TUNE_TABLE, as everywhere else).
-  tune::TuneOptions tune{};
 };
 
 /// Message window for a given size (OSU window, adaptively bounded).

@@ -11,7 +11,6 @@
 #include "common/log.hpp"
 #include "cxlsim/fault_injector.hpp"
 #include "obs/obs.hpp"
-#include "tune/tune.hpp"
 
 namespace cmpi::p2p {
 
@@ -53,37 +52,14 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
       staged_bytes_(static_cast<std::size_t>(ctx.nranks()), 0),
       rdvz_inflight_(static_cast<std::size_t>(ctx.nranks())),
       rdvz_slot_cache_(static_cast<std::size_t>(ctx.nranks())),
+      rendezvous_threshold_(rendezvous_threshold_for(
+          ctx.config().rendezvous_threshold, matrix_.cell_payload())),
       dbell_(ctx.doorbell_base(), ctx.nranks()),
       dbell_next_(static_cast<std::size_t>(ctx.nranks()), 1),
       dbell_seen_(static_cast<std::size_t>(ctx.nranks()), 0),
       drain_pending_(static_cast<std::size_t>(ctx.nranks()), 0),
       publish_dirty_(static_cast<std::size_t>(ctx.nranks()), 0),
       stats_(std::make_unique<CommStats>()) {
-  const runtime::UniverseConfig& cfg = ctx.config();
-  const std::size_t cell = matrix_.cell_payload();
-  if (tune::tuning_enabled(cfg.tune)) {
-    if (const auto table = tune::shared_table(cfg.tune)) {
-      for (const tune::DispatchEntry& row : table->entries()) {
-        if (row.cell_payload == cell) {
-          knob_rows_.push_back(row);
-        }
-      }
-    }
-  }
-  if (knob_rows_.empty()) {
-    tune::DispatchEntry row;
-    row.max_bytes = ~std::size_t{0};
-    row.cell_payload = cell;
-    row.rendezvous_threshold =
-        cfg.rendezvous_threshold == 0 ? cell : cfg.rendezvous_threshold;
-    row.pipeline_quantum = cfg.rendezvous_quantum == 0
-                               ? kRendezvousSegmentBytes
-                               : cfg.rendezvous_quantum;
-    row.inflight_depth = cfg.rendezvous_inflight == 0
-                             ? kMaxRendezvousInflight
-                             : cfg.rendezvous_inflight;
-    knob_rows_.push_back(row);
-  }
   for (int r = 0; r < ctx.nranks(); ++r) {
     if (r == ctx.rank()) {
       continue;
@@ -303,8 +279,7 @@ RequestPtr Endpoint::isend(int dst, int tag,
   request->tag = tag;
   request->send_data = data;
   request->rendezvous =
-      !is_internal_tag(tag) &&
-      data.size() > knobs(data.size()).rendezvous_threshold;
+      !is_internal_tag(tag) && data.size() > rendezvous_threshold_;
   request->seq = send_seq_[static_cast<std::size_t>(dst)]++;
   if (!is_internal_tag(tag)) {
     ++stats_->messages_sent;
@@ -332,8 +307,7 @@ RequestPtr Endpoint::issend(int dst, int tag,
   request->peer = dst;
   request->tag = tag;
   request->send_data = data;
-  request->rendezvous =
-      data.size() > knobs(data.size()).rendezvous_threshold;
+  request->rendezvous = data.size() > rendezvous_threshold_;
   request->seq = send_seq_[static_cast<std::size_t>(dst)]++;
   ++stats_->messages_sent;
   stats_->bytes_sent += data.size();
@@ -505,10 +479,9 @@ void Endpoint::note_publish(int dst, bool edge) {
 Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
                                              Request& req) {
   const std::size_t total = req.send_data.size();
-  const tune::DispatchEntry& row = knobs(total);
   auto& inflight = rdvz_inflight_[static_cast<std::size_t>(dst)];
   if (!req.rdvz_slot.has_value()) {
-    if (inflight.size() >= row.inflight_depth) {
+    if (inflight.size() >= kMaxRendezvousInflight) {
       return RdvzPush::kBlocked;  // wait for the receiver's FINs
     }
     Result<arena::ObjectHandle> slot = acquire_rdvz_slot(dst, total);
@@ -531,13 +504,13 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
   // per-cell overlap), large enough that the per-segment RTS/fence cost
   // stays amortized on multi-MiB messages. Only the sender chooses — the
   // receiver follows whatever bounds each RTS descriptor carries. The cap
-  // is the message's pipeline quantum (default kRendezvousSegmentBytes);
-  // floored at piece_max so a small quantum still covers one bulk piece.
-  // A pure function of the message size, so every resumed announcement
-  // attempt cuts the same segments the staged CRC was computed over.
+  // is kRendezvousSegmentBytes, floored at piece_max so it always covers
+  // one bulk piece. A pure function of the message size, so every resumed
+  // announcement attempt cuts the same segments the staged CRC was
+  // computed over.
   const std::size_t seg_quantum =
       std::clamp((total / 8 + piece_max - 1) / piece_max * piece_max,
-                 piece_max, std::max(piece_max, row.pipeline_quantum));
+                 piece_max, std::max(piece_max, kRendezvousSegmentBytes));
   bool enqueued_any = false;
   while (req.bytes_pushed < total) {
     const std::size_t seg_begin = req.bytes_pushed;

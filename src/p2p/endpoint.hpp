@@ -59,12 +59,11 @@
 // doorbell hint.
 //
 // Large-message fast path (one-copy rendezvous): a message larger than
-// its threshold (UniverseConfig::rendezvous_threshold, default one cell
-// payload, or the message's dispatch-table row: see knobs()) skips cell
-// chunking entirely. The sender parks the payload in a per-message arena
-// slab and announces it through the ring with small RTS descriptor cells
-// (kRendezvous flag), one per pipeline-quantum segment (default
-// kRendezvousSegmentBytes) so the receiver pulls segment k while
+// rendezvous_threshold() (UniverseConfig::rendezvous_threshold, default
+// one cell payload) skips cell chunking entirely. The sender parks the
+// payload in a per-message arena slab and announces it through the ring
+// with small RTS descriptor cells (kRendezvous flag), one per segment of
+// at most kRendezvousSegmentBytes, so the receiver pulls segment k while
 // the sender writes k+1. The receiver reads each segment straight from
 // the pool into the user buffer — one copy end to end instead of the
 // eager path's copy-in/copy-out — and FINishes the message with a control
@@ -94,7 +93,6 @@
 #include "p2p/tag_match.hpp"
 #include "queue/queue_matrix.hpp"
 #include "runtime/universe.hpp"
-#include "tune/dispatch_table.hpp"
 
 namespace cmpi::p2p {
 
@@ -381,16 +379,18 @@ class Endpoint {
   };
   [[nodiscard]] std::vector<DebugRdvzSlot> debug_rendezvous_inflight(
       int dst) const;
-  /// The knob row a message of `bytes` is sent with: the first row whose
-  /// class covers it, else the last row (see knob_rows_).
-  [[nodiscard]] const tune::DispatchEntry& knobs(
-      std::size_t bytes) const noexcept {
-    for (const tune::DispatchEntry& row : knob_rows_) {
-      if (bytes <= row.max_bytes) {
-        return row;
-      }
-    }
-    return knob_rows_.back();
+  /// The eager/rendezvous switchover that a configured
+  /// UniverseConfig::rendezvous_threshold selects on rings of
+  /// `cell_payload`-byte cells: 0 means one cell payload; anything else,
+  /// SIZE_MAX (rendezvous off) included, stands as configured.
+  [[nodiscard]] static constexpr std::size_t rendezvous_threshold_for(
+      std::size_t configured, std::size_t cell_payload) noexcept {
+    return configured == 0 ? cell_payload : configured;
+  }
+  /// A user message strictly larger than this many bytes is sent by
+  /// rendezvous. Fixed at construction.
+  [[nodiscard]] std::size_t rendezvous_threshold() const noexcept {
+    return rendezvous_threshold_;
   }
 
   /// What scavenge_peer reclaimed from this endpoint's view of a corpse.
@@ -586,12 +586,7 @@ class Endpoint {
   /// recycled-slot cache.
   std::vector<std::deque<RdvzInflight>> rdvz_inflight_;
   std::vector<std::deque<arena::ObjectHandle>> rdvz_slot_cache_;
-  /// Rendezvous threshold, pipeline quantum and inflight depth by size
-  /// class, ascending max_bytes, fixed at construction. With tuning on and
-  /// a dispatch table loaded: the table's rows for this universe's cell
-  /// payload. Otherwise (or when the table has no such row): one row
-  /// covering every size, holding the UniverseConfig knobs.
-  std::vector<tune::DispatchEntry> knob_rows_;
+  std::size_t rendezvous_threshold_ = 0;  // see rendezvous_threshold()
   std::uint64_t rdvz_name_counter_ = 0;  // unique slab names
   /// Messages awaiting retransmission, keyed (source, msg_seq).
   std::map<std::pair<int, std::uint32_t>, RetryState> retry_;

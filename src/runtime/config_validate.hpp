@@ -15,10 +15,6 @@ struct UniverseConfig;
 ///   * rendezvous_threshold: 0 (default), or >= 512 bytes (a smaller
 ///     switchover sends sub-cell messages through slab bookkeeping that
 ///     costs more than the copy it saves). SIZE_MAX = rendezvous off.
-///   * rendezvous_quantum: 0 (default), or in [4 KiB, 16 MiB].
-///   * rendezvous_inflight: 0 (default), or in [1, 64].
-/// The numbers live in tune/options.hpp, which DispatchTable::load applies
-/// to every table row as well.
 [[nodiscard]] Status validate(const UniverseConfig& config);
 
 }  // namespace cmpi::runtime

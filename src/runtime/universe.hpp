@@ -43,11 +43,18 @@
 #include "runtime/failure_detector.hpp"
 #include "runtime/seq_barrier.hpp"
 #include "simtime/vclock.hpp"
-#include "tune/options.hpp"
 
 namespace cmpi::fabric {
 class PodCluster;
 }  // namespace cmpi::fabric
+
+namespace cmpi::tune {
+/// Inert (see UniverseConfig::tune): one value, and it selects nothing.
+enum class Tuning { kDisabled };
+struct TuneOptions {
+  Tuning mode = Tuning::kDisabled;
+};
+}  // namespace cmpi::tune
 
 namespace cmpi::runtime {
 
@@ -81,21 +88,16 @@ struct UniverseConfig {
   /// payload is parked in an arena slot and announced through the ring
   /// with small RTS descriptors, and the receiver pulls it straight into
   /// the user buffer (see p2p::Endpoint). 0 selects the default — one
-  /// cell payload; SIZE_MAX disables rendezvous (eager chunking always).
+  /// cell payload (p2p::Endpoint::rendezvous_threshold_for); SIZE_MAX
+  /// disables rendezvous (eager chunking always). Nonzero values must be
+  /// >= 512 (see runtime::validate). The pipeline quantum and inflight
+  /// depth are constants (p2p::Endpoint::kRendezvousSegmentBytes and
+  /// kMaxRendezvousInflight).
   std::size_t rendezvous_threshold = 0;
-  /// Cap on the rendezvous segment quantum — the pipeline granularity the
-  /// sender announces RTS descriptors at (bytes). 0 selects the default
-  /// (p2p::Endpoint::kRendezvousSegmentBytes, 128 KiB). Nonzero values
-  /// must lie in [4 KiB, 16 MiB] (see runtime::validate).
-  std::size_t rendezvous_quantum = 0;
-  /// Un-FINished rendezvous slots allowed in flight toward one
-  /// destination. 0 selects the default
-  /// (p2p::Endpoint::kMaxRendezvousInflight, 8); nonzero must be <= 64.
-  std::size_t rendezvous_inflight = 0;
-  /// Table-driven tuning (see src/tune): off by default (Tuning::kAuto
-  /// follows CMPI_TUNE). When it is on and a dispatch table loads, the
-  /// table's rows for this cell payload replace the three knobs above,
-  /// one row per message-size class; without such rows the knobs apply.
+  /// Selects nothing: the rendezvous knobs are the field and constants
+  /// above. Kept only because perfbench/driver.cpp still sets
+  /// `tune.mode = tune::Tuning::kDisabled`; goes with that file's next
+  /// change.
   tune::TuneOptions tune{};
   /// Coherence-protocol checking (off by default; the test suite turns it
   /// on for every test via CMPI_COHERENCE_CHECK=1). When enabled, every

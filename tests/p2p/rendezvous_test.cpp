@@ -42,7 +42,7 @@ TEST(Rendezvous, ThresholdRoutesLargeNotSmall) {
   runtime::Universe universe(rdvz_config());
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
-    EXPECT_EQ(ep.knobs(4_KiB + 1).rendezvous_threshold, 4_KiB);  // one cell
+    EXPECT_EQ(ep.rendezvous_threshold(), 4_KiB);  // one cell
     const auto small = pattern(4_KiB, 1);    // == threshold: eager
     const auto large = pattern(4_KiB + 1, 2);  // > threshold: rendezvous
     if (ctx.rank() == 0) {
@@ -68,7 +68,7 @@ TEST(Rendezvous, ConfiguredThresholdOverridesDefault) {
   runtime::Universe universe(cfg);
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
-    EXPECT_EQ(ep.knobs(64_KiB).rendezvous_threshold, 1_MiB);
+    EXPECT_EQ(ep.rendezvous_threshold(), 1_MiB);
     const auto data = pattern(64_KiB, 3);  // under the raised threshold
     if (ctx.rank() == 0) {
       check_ok(ep.send(1, 0, data));

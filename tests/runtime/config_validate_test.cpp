@@ -30,8 +30,6 @@ TEST(ConfigValidate, DefaultsAreValid) {
 TEST(ConfigValidate, SentinelKnobValuesAreValid) {
   UniverseConfig cfg = valid_config();
   cfg.rendezvous_threshold = ~std::size_t{0};  // rendezvous off
-  cfg.rendezvous_quantum = 0;                  // default
-  cfg.rendezvous_inflight = 0;                 // default
   EXPECT_TRUE(validate(cfg).is_ok());
   cfg.rendezvous_threshold = 512;  // the documented minimum
   EXPECT_TRUE(validate(cfg).is_ok());
@@ -49,42 +47,14 @@ TEST(ConfigValidate, TinyRendezvousThresholdNamesTheField) {
       << "the message must quote the offending value";
 }
 
-TEST(ConfigValidate, QuantumOutsideRangeNamesTheField) {
-  UniverseConfig cfg = valid_config();
-  cfg.rendezvous_quantum = 1_KiB;  // below the 4 KiB floor
-  Status status = validate(cfg);
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("rendezvous_quantum"), std::string::npos);
-
-  cfg.rendezvous_quantum = 32_MiB;  // above the 16 MiB ceiling
-  status = validate(cfg);
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_NE(status.message().find("rendezvous_quantum"), std::string::npos);
-
-  cfg.rendezvous_quantum = 4_KiB;  // boundary is legal
-  EXPECT_TRUE(validate(cfg).is_ok());
-}
-
-TEST(ConfigValidate, InflightAboveCapNamesTheField) {
-  UniverseConfig cfg = valid_config();
-  cfg.rendezvous_inflight = 65;
-  const Status status = validate(cfg);
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("rendezvous_inflight"), std::string::npos);
-  cfg.rendezvous_inflight = 64;
-  EXPECT_TRUE(validate(cfg).is_ok());
-}
-
 TEST(ConfigValidate, UniverseConstructorThrowsWithTheValidationMessage) {
   UniverseConfig cfg = valid_config();
-  cfg.rendezvous_quantum = 1_KiB;
+  cfg.rendezvous_threshold = 100;
   try {
     Universe universe(cfg);
     FAIL() << "Universe must reject an invalid config";
   } catch (const std::invalid_argument& err) {
-    EXPECT_NE(std::string(err.what()).find("rendezvous_quantum"),
+    EXPECT_NE(std::string(err.what()).find("rendezvous_threshold"),
               std::string::npos)
         << err.what();
   }
@@ -93,8 +63,6 @@ TEST(ConfigValidate, UniverseConstructorThrowsWithTheValidationMessage) {
 TEST(ConfigValidate, UniverseConstructorAcceptsExplicitKnobs) {
   UniverseConfig cfg = valid_config();
   cfg.rendezvous_threshold = 64_KiB;
-  cfg.rendezvous_quantum = 128_KiB;
-  cfg.rendezvous_inflight = 8;
   EXPECT_NO_THROW({ Universe universe(cfg); });
 }
 
