@@ -200,7 +200,15 @@ void Accessor::nt_load_gather(std::span<GatherRange> ranges) {
   const std::optional<std::uint64_t> earlier = exchange_poison({});
   for (GatherRange& range : ranges) {
     fault_access(range.offset, range.dst.size(), /*is_read=*/true);
-    cache_.nt_load(range.offset, range.dst);
+    if (range.dst.size() == sizeof(std::uint64_t) &&
+        is_aligned(range.offset, sizeof(std::uint64_t))) {
+      // A flag word's writer stores it lock-free, outside the pool mutex
+      // nt_load takes: read it with nt_load_u64's atomic load.
+      const std::uint64_t word = cache_.nt_load_u64(range.offset);
+      std::memcpy(range.dst.data(), &word, sizeof word);
+    } else {
+      cache_.nt_load(range.offset, range.dst);
+    }
     range.poison = exchange_poison({});
   }
   exchange_poison(earlier);

@@ -99,7 +99,9 @@ class Accessor {
   /// Limited to one wave: the ranges together span at most
   /// kLineFillBuffers lines (a contract). Each range is one access for
   /// crash-at-Nth schedules, performed in order; poison pending before the
-  /// call stays raised.
+  /// call stays raised. An aligned 8-byte range is read with nt_load_u64's
+  /// lock-free atomic load, so a gather may include flag words that their
+  /// writer stores concurrently.
   void nt_load_gather(std::span<GatherRange> ranges);
 
   std::uint64_t nt_load_u64(std::uint64_t offset);

@@ -121,19 +121,35 @@ bool SpscRing::can_enqueue(cxlsim::Accessor& acc) {
   if (tail_local_ - peer_head_ < cells_) {
     return true;
   }
-  const auto head = acc.peek_flag(base_ + kHeadOffset);
-  if (head.value != peer_head_) {
-    acc.clock().advance(acc.device().timing().params().nt_load_latency);
-    peer_head_ = head.value;
-    if (tail_local_ - peer_head_ < cells_) {
-      // The producer was blocked on this specific cell being freed:
-      // absorb the consumer's per-cell release stamp.
-      const std::uint64_t freed = acc.nt_load_u64(
-          cell_base(tail_local_) + offsetof(CellHeader, freed_stamp));
-      acc.clock().observe(std::bit_cast<simtime::Ns>(freed));
-    }
+  // Polling a head that has not moved is waiting: no charge. The poll
+  // raises the head word's poison.
+  if (acc.peek_flag(base_ + kHeadOffset).value == peer_head_) {
+    return false;
   }
-  return tail_local_ - peer_head_ < cells_;
+  // The head moved. Both addresses are known before either load issues,
+  // so the head word and the reused cell's freed_stamp load in one wave;
+  // the head is read first, so a head that shows the cell freed orders
+  // the stamp's read after the consumer's store of it.
+  std::uint64_t head = 0;
+  std::uint64_t freed = 0;
+  std::array<cxlsim::Accessor::GatherRange, 2> ranges;
+  ranges[0].offset = base_ + kHeadOffset;
+  ranges[0].dst = std::as_writable_bytes(std::span(&head, 1));
+  ranges[1].offset = cell_base(tail_local_) + offsetof(CellHeader, freed_stamp);
+  ranges[1].dst = std::as_writable_bytes(std::span(&freed, 1));
+  acc.nt_load_gather(ranges);
+  CMPI_OBS_COUNT("ring.full_reloads", 1);
+  peer_head_ = head;
+  if (tail_local_ - peer_head_ >= cells_) {
+    return false;
+  }
+  // The producer was blocked on this specific cell being freed: absorb the
+  // consumer's per-cell release stamp, and the stamp word's poison with it.
+  if (!acc.poison_pending()) {
+    acc.exchange_poison(ranges[1].poison);
+  }
+  acc.clock().observe(std::bit_cast<simtime::Ns>(freed));
+  return true;
 }
 
 bool SpscRing::try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,

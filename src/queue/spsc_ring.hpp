@@ -128,9 +128,11 @@ class SpscRing {
   }
 
   // ---- Producer side ----
-  /// True if a cell is free. Peeking is time-free; the head stamp is
-  /// absorbed when a previously-full ring drains (try_enqueue success after
-  /// observing space).
+  /// True if a cell is free. Once per lap the cached head shows the ring
+  /// full; the head is then polled time-free, and only a moved head is
+  /// reloaded: the head word and the reused cell's freed_stamp in one
+  /// gathered wave (Accessor::nt_load_gather), after which that cell's
+  /// freed_stamp, never the head flag's stamp, is absorbed.
   [[nodiscard]] bool can_enqueue(cxlsim::Accessor& acc);
 
   /// Enqueue one chunk. Returns false (and does nothing) if the ring is

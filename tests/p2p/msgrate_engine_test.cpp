@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
+#include "cxlsim/accessor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
@@ -307,6 +310,61 @@ TEST(GatheredReads, WindowOfSmallSendsIsReadEightCellsPerWave) {
   EXPECT_EQ(gathers.count(), static_cast<std::uint64_t>(kWindow / 8));
   EXPECT_DOUBLE_EQ(gathers.sum(), kWindow);
   obs::configure(obs::Config{});
+}
+
+TEST(GatheredReads, NinthSendOfALapReloadsTheHeadInOneWave) {
+  // On an 8-cell ring the sender's cached head shows the ring full at the
+  // ninth 8 B isend. The receiver has freed cells by then, so that isend
+  // reloads the head word and the reused cell's freed_stamp in one wave:
+  // it costs the eighth's plus one 16-byte nt_load, not plus two 8-byte
+  // loads. Each send completes and is received (a host-side handshake,
+  // no virtual time) before the next is issued.
+  constexpr int kSends = 9;
+  runtime::Universe universe(engine_config(2, 256, 8));
+  std::array<double, kSends> cost{};
+  double wave = 0;
+  std::atomic<int> received{0};
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      // Past the device's set-up bookings and every stamp the receiver
+      // writes, so the reload's device reservation and its absorbed
+      // stamp add nothing to the wave.
+      ctx.clock().advance(1e6);
+      // One 16-byte nt_load at this clock on an idle device.
+      auto device = check_ok(cxlsim::DaxDevice::create(
+          2_MiB, 4, ctx.device().timing().params()));
+      cxlsim::CacheSim cache(*device);
+      simtime::VClock clock;
+      clock.advance(ctx.clock().now());
+      cxlsim::Accessor idle(*device, cache, clock);
+      std::vector<std::byte> words(2 * sizeof(std::uint64_t));
+      idle.nt_load(0, words);
+      wave = clock.now() - ctx.clock().now();
+      const std::vector<std::byte> buf = pattern(8, 0);
+      for (int i = 0; i < kSends; ++i) {
+        const double before = ctx.clock().now();
+        RequestPtr req = ep.isend(1, i, buf);
+        cost[static_cast<std::size_t>(i)] = ctx.clock().now() - before;
+        check_ok(ep.wait(req));
+        while (received.load() <= i) {
+          std::this_thread::yield();
+        }
+      }
+    } else {
+      std::vector<std::byte> buf(8);
+      for (int i = 0; i < kSends; ++i) {
+        check_ok(ep.recv(0, i, buf));
+        received.store(i + 1);
+      }
+    }
+  });
+  // The first send also attaches the ring; the next seven cost the same.
+  for (int i = 2; i < kSends - 1; ++i) {
+    EXPECT_DOUBLE_EQ(cost[static_cast<std::size_t>(i)], cost[1]) << i;
+  }
+  EXPECT_DOUBLE_EQ(cost[kSends - 1] - cost[kSends - 2], wave);
 }
 
 }  // namespace

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "cxlsim/coherence_checker.hpp"
 #include "cxlsim/fault_injector.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace cmpi::queue {
 namespace {
@@ -651,6 +656,95 @@ TEST_F(SpscRingTest, BackpressurePropagatesConsumerTimeToProducer) {
   // Producer blocked on a full ring observes the consumer's progress time.
   ASSERT_TRUE(producer_->can_enqueue(*producer_acc_));
   EXPECT_GE(producer_clock_.now(), 2e6);
+}
+
+TEST_F(SpscRingTest, FullRingRefreshChargesOneWaveOnlyWhenTheHeadMoved) {
+  // Once per lap the producer's cached head shows the ring full. Polling
+  // a head that has not moved is waiting and charges nothing. A moved head
+  // is reloaded together with the freed_stamp of the cell about to be
+  // reused: both addresses are known, so the two 8-byte loads are one
+  // wave, charged as one nt_load of 16 bytes. Later checks see room in
+  // the refreshed view and charge nothing either.
+  obs::Config metrics_on;
+  metrics_on.metrics = true;
+  obs::configure(metrics_on);
+  obs::MetricsRegistry::instance().reset_for_test();
+  publish(kCells);
+  producer_clock_.advance(1e6);  // past every stamp the consumer writes
+  const simtime::Ns start = producer_clock_.now();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(producer_->can_enqueue(*producer_acc_));
+  }
+  EXPECT_EQ(producer_clock_.now(), start);
+  CellHeader out{};
+  std::vector<std::byte> got(kPayload);
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(producer_->can_enqueue(*producer_acc_));
+  }
+  EXPECT_DOUBLE_EQ(producer_clock_.now() - start,
+                   nt_load_cost(start, 2 * sizeof(std::uint64_t)));
+  EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().counter(
+                "ring.full_reloads"),
+            1u);
+  obs::configure(obs::Config{});
+}
+
+TEST_F(SpscRingTest, FullRingReloadLandsOnTheReusedCellsFreedStamp) {
+  // The reload absorbs the freed_stamp of the cell the producer reuses,
+  // not the head flag's newer stamp. A producer 1 µs before that stamp
+  // finishes its one-wave reload (a 790 ns line fill) first and lands
+  // exactly on the stamp.
+  publish(kCells);
+  CellHeader out{};
+  std::vector<std::byte> got(kPayload);
+  consumer_clock_.advance(2e6);
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  const auto freed = std::bit_cast<simtime::Ns>(producer_acc_->peek_u64(
+      SpscRing::kCellsOffset + offsetof(CellHeader, freed_stamp)));
+  consumer_clock_.advance(1e6);
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  producer_clock_.advance(freed - 1000 - producer_clock_.now());
+  ASSERT_LT(nt_load_cost(producer_clock_.now(), 2 * sizeof(std::uint64_t)),
+            1000);
+  ASSERT_TRUE(producer_->can_enqueue(*producer_acc_));
+  EXPECT_DOUBLE_EQ(producer_clock_.now(), freed);
+}
+
+TEST_F(SpscRingTest, PoisonedReloadWordsRaiseTheProducersPoison) {
+  // Media poison on the freed_stamp word the reload absorbs, or on the
+  // head word, raises the producer accessor's sticky poison. The gather
+  // reads both words with nt_load_u64's atomic load, and the coherence
+  // checker records nothing.
+  cxlsim::CoherenceChecker& checker = device_->enable_coherence_checker();
+  reformat(kCells, kPayload);
+  cxlsim::FaultInjector& fi =
+      device_->install_fault_plan(cxlsim::FaultPlan{});
+  const std::uint64_t freed_word =
+      SpscRing::kCellsOffset + offsetof(CellHeader, freed_stamp);
+  fi.poison(freed_word, sizeof(std::uint64_t));
+  publish(kCells);
+  EXPECT_FALSE(producer_->can_enqueue(*producer_acc_));
+  EXPECT_FALSE(producer_acc_->poison_pending());
+  CellHeader out{};
+  std::vector<std::byte> got(kPayload);
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  ASSERT_TRUE(producer_->can_enqueue(*producer_acc_));
+  const Status stamp = producer_acc_->take_poison_status("reload");
+  EXPECT_FALSE(stamp.is_ok());
+  EXPECT_NE(stamp.message().find(std::to_string(freed_word)),
+            std::string::npos)
+      << stamp.message();
+  ASSERT_TRUE(producer_->try_enqueue(*producer_acc_, header_for({}), {}));
+  EXPECT_FALSE(producer_->can_enqueue(*producer_acc_));
+  ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+  fi.poison(SpscRing::kHeadOffset, sizeof(std::uint64_t));
+  ASSERT_TRUE(producer_->can_enqueue(*producer_acc_));
+  const Status head = producer_acc_->take_poison_status("reload");
+  EXPECT_NE(head.message().find(std::to_string(SpscRing::kHeadOffset)),
+            std::string::npos)
+      << head.message();
+  EXPECT_EQ(checker.total_violations(), 0u);
 }
 
 TEST_F(SpscRingTest, ConcurrentProducerConsumerStress) {
