@@ -1430,11 +1430,6 @@ void Endpoint::progress() {
     }
     return false;
   });
-  // Defensive sweep: a matched receive is normally unpinned the moment its
-  // last chunk completes it (drain_source), but nothing else guarantees
-  // that, so keep the invariant "no completed request lingers" here too.
-  std::erase_if(matched_keepalive_,
-                [](const RequestPtr& req) { return req->complete_; });
 }
 
 Endpoint::DebugQueueSizes Endpoint::debug_queue_sizes() const noexcept {

@@ -52,11 +52,12 @@
 // coalesces into few publishes. This is the only data path: fault-
 // injected runs publish and read exactly as production runs do, so a
 // crash mid-batch loses the unpublished cells as a real one would.
-// Matching is sharded (see tag_match.hpp). A rotating scan start plus the
-// per-visit reap bound round-robins saturating senders fairly. A periodic
-// full scan (every kFullScanInterval calls) plus the flush-head-before-
-// concluding-empty discipline bound the staleness of the unfenced
-// doorbell hint.
+// Matching walks two ordered queues, posted receives in post order and
+// unexpected messages in arrival order (see tag_match.hpp). A rotating
+// scan start plus the per-visit reap bound round-robins saturating
+// senders fairly. A periodic full scan (every kFullScanInterval calls)
+// plus the flush-head-before-concluding-empty discipline bound the
+// staleness of the unfenced doorbell hint.
 //
 // Large-message fast path (one-copy rendezvous): a message larger than
 // rendezvous_threshold() (UniverseConfig::rendezvous_threshold, default
@@ -428,9 +429,6 @@ class Endpoint {
  private:
   Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix);
 
-  // (RdvzSegment and UnexpectedMsg moved to tag_match.hpp: the sharded
-  // unexpected queue owns the message type.)
-
   /// Per-source assembly state: where the chunks of the in-flight incoming
   /// message are being delivered.
   struct Assembly {
@@ -590,8 +588,8 @@ class Endpoint {
   std::uint64_t rdvz_name_counter_ = 0;  // unique slab names
   /// Messages awaiting retransmission, keyed (source, msg_seq).
   std::map<std::pair<int, std::uint32_t>, RetryState> retry_;
-  PostedRecvQueue posted_recvs_;  // sharded, matched in post order
-  UnexpectedQueue unexpected_;    // sharded + global arrival order
+  PostedRecvQueue posted_recvs_;  // matched in post order
+  UnexpectedQueue unexpected_;    // matched in arrival order
   /// Aggregated doorbell state (tentpole). dbell_next_[dst] is the value
   /// this rank's NEXT ring toward dst will store (monotonic across
   /// respawns: seeded from the pool word + 1). dbell_seen_[src] is the

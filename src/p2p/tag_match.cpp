@@ -1,7 +1,6 @@
 #include "p2p/tag_match.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -9,170 +8,91 @@
 namespace cmpi::p2p {
 
 void PostedRecvQueue::post(RequestPtr req, int src, int tag) {
-  buckets_[key(src, tag)].push_back(Entry{next_order_++, std::move(req)});
-  ++size_;
+  entries_.push_back(Entry{src, tag, std::move(req)});
 }
 
 void PostedRecvQueue::repost_front(RequestPtr req, int src, int tag) {
-  buckets_[key(src, tag)].push_front(Entry{--front_order_, std::move(req)});
-  ++size_;
+  entries_.push_front(Entry{src, tag, std::move(req)});
 }
 
 RequestPtr PostedRecvQueue::take_match(int src, int tag,
                                        std::size_t* probe_len) {
   CMPI_EXPECTS(src != kAnySource && tag != kAnyTag);
-  // The only four filters an arrival can satisfy. Per-bucket order is
-  // ascending (post appends increasing stamps, repost_front prepends
-  // decreasing ones), so each bucket's FRONT is its earliest entry and the
-  // global earliest match is the minimum over the four fronts.
-  const std::array<std::uint64_t, 4> candidates = {
-      key(src, tag), key(kAnySource, tag), key(src, kAnyTag),
-      key(kAnySource, kAnyTag)};
-  std::deque<Entry>* best = nullptr;
-  std::size_t probed = 0;
-  for (const std::uint64_t k : candidates) {
-    const auto it = buckets_.find(k);
-    if (it == buckets_.end() || it->second.empty()) {
-      continue;
-    }
-    ++probed;
-    if (best == nullptr || it->second.front().order < best->front().order) {
-      best = &it->second;
-    }
-  }
+  const auto it = std::find_if(entries_.begin(), entries_.end(),
+                               [&](const Entry& e) {
+                                 return tags_match(e.src, e.tag, src, tag);
+                               });
   if (probe_len != nullptr) {
-    *probe_len = probed;
+    *probe_len = static_cast<std::size_t>(it - entries_.begin()) +
+                 (it != entries_.end() ? 1 : 0);
   }
-  if (best == nullptr) {
+  if (it == entries_.end()) {
     return nullptr;
   }
-  RequestPtr req = std::move(best->front().req);
-  best->pop_front();
-  --size_;
+  RequestPtr req = std::move(it->req);
+  entries_.erase(it);
   return req;
 }
 
 RequestPtr PostedRecvQueue::remove(const Request* req) {
-  for (auto& [k, bucket] : buckets_) {
-    const auto it =
-        std::find_if(bucket.begin(), bucket.end(),
-                     [&](const Entry& e) { return e.req.get() == req; });
-    if (it != bucket.end()) {
-      RequestPtr owned = std::move(it->req);
-      bucket.erase(it);
-      --size_;
-      return owned;
-    }
+  const auto it =
+      std::find_if(entries_.begin(), entries_.end(),
+                   [&](const Entry& e) { return e.req.get() == req; });
+  if (it == entries_.end()) {
+    return nullptr;
   }
-  return nullptr;
+  RequestPtr owned = std::move(it->req);
+  entries_.erase(it);
+  return owned;
 }
 
 std::vector<RequestPtr> PostedRecvQueue::remove_if(
     const std::function<bool(const RequestPtr&)>& pred) {
-  std::vector<Entry> taken;
-  for (auto& [k, bucket] : buckets_) {
-    for (auto it = bucket.begin(); it != bucket.end();) {
-      if (pred(it->req)) {
-        taken.push_back(std::move(*it));
-        it = bucket.erase(it);
-        --size_;
-      } else {
-        ++it;
-      }
+  std::vector<RequestPtr> taken;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (pred(it->req)) {
+      taken.push_back(std::move(it->req));
+      it = entries_.erase(it);
+    } else {
+      ++it;
     }
   }
-  std::sort(taken.begin(), taken.end(),
-            [](const Entry& a, const Entry& b) { return a.order < b.order; });
-  std::vector<RequestPtr> out;
-  out.reserve(taken.size());
-  for (Entry& e : taken) {
-    out.push_back(std::move(e.req));
-  }
-  return out;
+  return taken;
 }
 
 void UnexpectedQueue::push(UnexpectedMsgPtr msg) {
-  buckets_[key(msg->source, msg->tag)].push_back(msg);
   arrival_.push_back(std::move(msg));
 }
 
 UnexpectedMsgPtr UnexpectedQueue::find_match(int src, int tag,
                                              bool require_full,
                                              std::size_t* probe_len) const {
-  const auto matchable = [&](const UnexpectedMsg& m) {
-    return !m.retry_pending && (m.full() || !require_full);
-  };
-  std::size_t probed = 0;
-  if (src != kAnySource && tag != kAnyTag) {
-    // Fully-specified filter: one bucket, already in arrival order for
-    // this envelope (the only order MPI requires between these messages).
-    const auto it = buckets_.find(key(src, tag));
-    if (it != buckets_.end()) {
-      for (const UnexpectedMsgPtr& msg : it->second) {
-        ++probed;
-        if (matchable(*msg)) {
-          if (probe_len != nullptr) {
-            *probe_len = probed;
-          }
-          return msg;
-        }
-      }
-    }
-    if (probe_len != nullptr) {
-      *probe_len = probed;
-    }
-    return nullptr;
-  }
-  // Wildcard filter: the global list is the arrival order merged across
-  // all envelopes — deterministic and identical to the pre-sharding scan.
-  for (const UnexpectedMsgPtr& msg : arrival_) {
-    ++probed;
-    if (tags_match(src, tag, msg->source, msg->tag) && matchable(*msg)) {
-      if (probe_len != nullptr) {
-        *probe_len = probed;
-      }
-      return msg;
-    }
-  }
+  const auto it = std::find_if(
+      arrival_.begin(), arrival_.end(), [&](const UnexpectedMsgPtr& m) {
+        return tags_match(src, tag, m->source, m->tag) && !m->retry_pending &&
+               (m->full() || !require_full);
+      });
   if (probe_len != nullptr) {
-    *probe_len = probed;
+    *probe_len = static_cast<std::size_t>(it - arrival_.begin()) +
+                 (it != arrival_.end() ? 1 : 0);
   }
-  return nullptr;
+  return it != arrival_.end() ? *it : nullptr;
 }
 
 bool UnexpectedQueue::remove(const UnexpectedMsg* msg) {
-  const auto at = std::find_if(
+  const auto it = std::find_if(
       arrival_.begin(), arrival_.end(),
       [&](const UnexpectedMsgPtr& m) { return m.get() == msg; });
-  if (at == arrival_.end()) {
+  if (it == arrival_.end()) {
     return false;
   }
-  const auto it = buckets_.find(key((*at)->source, (*at)->tag));
-  CMPI_ASSERT(it != buckets_.end());
-  std::erase_if(it->second,
-                [&](const UnexpectedMsgPtr& m) { return m.get() == msg; });
-  arrival_.erase(at);
+  arrival_.erase(it);
   return true;
 }
 
 std::size_t UnexpectedQueue::remove_if(
     const std::function<bool(const UnexpectedMsgPtr&)>& pred) {
-  std::size_t removed = 0;
-  for (auto it = arrival_.begin(); it != arrival_.end();) {
-    if (pred(*it)) {
-      const auto bucket = buckets_.find(key((*it)->source, (*it)->tag));
-      CMPI_ASSERT(bucket != buckets_.end());
-      const UnexpectedMsg* raw = it->get();
-      std::erase_if(bucket->second, [&](const UnexpectedMsgPtr& m) {
-        return m.get() == raw;
-      });
-      it = arrival_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return std::erase_if(arrival_, pred);
 }
 
 }  // namespace cmpi::p2p

@@ -339,7 +339,6 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
       std::bit_cast<std::uint64_t>(acc.clock().now()));
   ++head_local_;
   CMPI_OBS_COUNT("ring.dequeues", 1);
-  mid_message_ = (header_out.flags & kLastChunk) == 0;
   if (head_defer_) {
     // Batched reaping: the caller publishes via flush_head() at the end of
     // the reap batch (and always before concluding the ring is empty).
@@ -359,10 +358,6 @@ void SpscRing::flush_head(cxlsim::Accessor& acc) {
   }
   acc.publish_flag(base_ + kHeadOffset, head_local_);
   head_published_ = head_local_;
-}
-
-bool SpscRing::abandoned_mid_message(cxlsim::Accessor& acc) {
-  return mid_message_ && !can_dequeue(acc);
 }
 
 SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
@@ -397,7 +392,6 @@ SpscRing::ScavengeCounts SpscRing::scavenge_producer(cxlsim::Accessor& acc) {
         std::bit_cast<std::uint64_t>(acc.clock().now()));
     ++head_local_;
   }
-  mid_message_ = false;
   last_intact_ = true;
   if (counts.drained > 0 || head_published_ != head_local_) {
     acc.publish_flag(base_ + kHeadOffset, head_local_);
@@ -424,7 +418,6 @@ void SpscRing::debug_rebase_counters(cxlsim::Accessor& acc,
   read_setup_charged_ = false;
   peeked_.clear();
   peeked_next_ = 0;
-  mid_message_ = false;
 }
 
 }  // namespace cmpi::queue

@@ -246,14 +246,6 @@ class SpscRing {
   /// Publish the head if any dequeues are pending publication.
   void flush_head(cxlsim::Accessor& acc);
 
-  /// Consumer-side crash symptom: the last dequeued cell was a non-final
-  /// chunk of a multi-cell message and no successor cell has arrived — the
-  /// message sits half-written in the ring. On its own this only means the
-  /// producer is slow; the p2p layer combines it with the failure
-  /// detector's verdict on the producer to decide that the message is
-  /// abandoned and the assembled prefix must be discarded.
-  [[nodiscard]] bool abandoned_mid_message(cxlsim::Accessor& acc);
-
   /// True when the payload copied out by the last try_dequeue matched the
   /// header's CRC32C (the generation poll already matched the cell to its
   /// slot). A false reading means the payload was torn or corrupted in the
@@ -374,9 +366,6 @@ class SpscRing {
   /// kGatherCells, and read them into peeked_ (one gathered wave). Call
   /// with none peeked and at least one visible.
   void gather(cxlsim::Accessor& acc);
-  /// Consumer-side: the most recently dequeued cell lacked kLastChunk, so
-  /// the next cell is owed as part of the same message.
-  bool mid_message_ = false;
   /// Consumer-side: generation/CRC verdict of the last dequeued cell.
   bool last_intact_ = true;
   /// Producer-side: cells staged ahead of the last published cell.

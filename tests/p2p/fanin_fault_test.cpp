@@ -1,7 +1,7 @@
 // Fan-in soak × faults: 16 senders stream mixed eager/rendezvous
 // messages at one receiver while a seeded victim sender crashes
 // mid-plan. The message-rate engine's bookkeeping (doorbell slots,
-// per-peer drain state, sharded match queues) must neither lose nor
+// per-peer drain state, match queues) must neither lose nor
 // duplicate a message:
 //
 //  * every survivor's full plan arrives intact and in tag order,
@@ -175,8 +175,10 @@ TEST_P(FaninFault, SeededSenderCrashLosesNothingAndClearsDoorbell) {
           << "victim message " << k << " arrived after the prefix ended";
     }
     // Nothing parked: a duplicate delivery would strand a message in the
-    // unexpected queue (its tag can never match again).
+    // unexpected queue (its tag can never match again), and a receive the
+    // deadline cancelled must not stay pinned as matched.
     EXPECT_EQ(mpi.endpoint().debug_queue_sizes().unexpected, 0u);
+    EXPECT_EQ(mpi.endpoint().debug_queue_sizes().matched_keepalive, 0u);
     ASSERT_TRUE(wait_for_crash(ctx, victim));
     const auto rep = mpi.scavenge(victim);
     ASSERT_TRUE(rep.is_ok()) << rep.status().message();

@@ -3,10 +3,9 @@
 //  * Fairness — the rotating scan start must keep two saturating senders
 //    advancing together; a fixed scan origin would systematically drain
 //    one peer first and skew their completion clocks.
-//  * Wildcard matching — the sharded posted/unexpected queues hash on
-//    (source, tag), but MPI semantics are defined over global orders:
+//  * Wildcard matching — MPI semantics are defined over global orders:
 //    wildcard receives must take unexpected messages in ARRIVAL order and
-//    posted receives must match in POSTED order, across shards.
+//    posted receives must match in POSTED order, across envelopes.
 //  * Doorbell accounting — edges ring, non-edges are suppressed.
 #include "p2p/endpoint.hpp"
 
@@ -98,11 +97,10 @@ TEST(ProgressFairness, SaturatingSendersCompleteWithBoundedSkew) {
 }
 
 TEST(WildcardMatch, UnexpectedWildcardTakesArrivalOrderAcrossShards) {
-  // Tags 5/3/9/7 hash to different buckets of the sharded unexpected
-  // queue, but a wildcard receive must see the messages in the order they
-  // arrived, not in bucket-iteration order. The go-message (tag 100) is
-  // received first so all five predecessors are parked as unexpected
-  // before any wildcard is posted.
+  // Tags 5/3/9/7 are different envelopes, but a wildcard receive must
+  // see the messages in the order they arrived, not grouped by envelope.
+  // The go-message (tag 100) is received first so all five predecessors
+  // are parked as unexpected before any wildcard is posted.
   const std::array<int, 5> tags = {5, 3, 9, 3, 7};
   runtime::Universe universe(engine_config(2));
   universe.run([&](runtime::RankCtx& ctx) {
@@ -129,8 +127,8 @@ TEST(WildcardMatch, UnexpectedWildcardTakesArrivalOrderAcrossShards) {
 
 TEST(WildcardMatch, EarliestPostedWinsAcrossShards) {
   // A specific (src, tag) receive posted before a wildcard must take the
-  // first matching arrival even though the two live in different shards
-  // of the posted queue; the wildcard gets the second.
+  // first matching arrival even though the wildcard also accepts it; the
+  // wildcard gets the second.
   runtime::Universe universe(engine_config(2));
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
@@ -161,8 +159,8 @@ TEST(WildcardMatch, InterleavedSpecificAndWildcardPreserveMpiOrder) {
   // wildcard. Arrivals (in order): tag 1, tag 2, tag 1, tag 2. MPI
   // matching: each arrival goes to the EARLIEST-posted receive it
   // matches, so the assignment is arrival0→wildcard#1, arrival1→tag-2,
-  // arrival2→tag-1, arrival3→wildcard#2 — an interleaving that visits
-  // three different shards of the posted queue.
+  // arrival2→tag-1, arrival3→wildcard#2 — an interleaving of three
+  // different filters in the posted queue.
   runtime::Universe universe(engine_config(2));
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);

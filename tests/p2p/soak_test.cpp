@@ -4,9 +4,12 @@
 // into assembly) and pending_ssends_ (staged synchronous sends awaiting
 // their ack). Completed requests also must drop their references to the
 // caller's buffers. debug_queue_sizes() exposes the container sizes so
-// the test can assert they return to zero between waves.
+// the test can assert they return to zero between waves; the heap test
+// also catches bookkeeping that empties without being freed.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "p2p/endpoint.hpp"
@@ -90,6 +93,44 @@ TEST(EndpointSoak, ManySynchronousSendsLeaveNoResidue) {
     ep.progress();
     expect_drained(ep, "after ssend soak");
   });
+}
+
+TEST(EndpointSoak, ManySynchronousSendsDoNotGrowTheHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer runtime owns the heap";
+#endif
+  runtime::Universe universe(soak_config());
+  std::size_t before = 0;
+  std::size_t after = 0;
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    constexpr int kMessages = 5000;
+    const std::vector<std::byte> payload = pattern(8, 3);
+    std::vector<std::byte> buffer(payload.size());
+    // Rank 1 waits in the barrier while rank 0 samples the heap.
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      before = mallinfo2().uordblks;
+    }
+    ctx.barrier();
+    for (int i = 0; i < kMessages; ++i) {
+      if (ctx.rank() == 0) {
+        check_ok(ep.ssend(1, 5, payload));
+      } else {
+        check_ok(ep.recv(0, 5, buffer));
+      }
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      after = mallinfo2().uordblks;
+    }
+    ctx.barrier();
+  });
+  // Every Ssend posts its match-ack receive under a fresh tag: nothing
+  // may stay behind per tag once the ack has matched.
+  EXPECT_LT(static_cast<double>(after) - static_cast<double>(before),
+            256.0 * 1024)
+      << "heap grew from " << before << " B to " << after << " B";
 }
 
 TEST(EndpointSoak, PrepostedIrecvWavesLeaveNoResidue) {

@@ -389,6 +389,9 @@ TEST(PayloadIntegrity, PoisonedCellIsRetransmittedTransparently) {
       ASSERT_TRUE(r.is_ok()) << r.status().message();
       EXPECT_EQ(buf, payload);
       EXPECT_EQ(r.value().bytes, payload.size());
+      // The NAK un-matched the receive and the retransmission completed
+      // it: neither may leave it pinned.
+      EXPECT_EQ(mpi.endpoint().debug_queue_sizes().matched_keepalive, 0u);
       check_ok(mpi.send(1, 4, reply));
     } else {
       check_ok(mpi.send(0, 3, payload));
