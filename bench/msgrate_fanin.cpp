@@ -1,9 +1,11 @@
 // Message-rate fan-in bench: N senders -> 1 receiver, OSU osu_mbw_mr
 // style, at small payloads where per-message protocol cost dominates.
 //
-// Measures the doorbell-aggregated progress engine (p2p::Endpoint) with
-// batched reaping and batched publication. The pre-doorbell linear-scan
-// engine it replaced is gone; its numbers stay in EXPERIMENTS.md.
+// Measures p2p::Endpoint's progress engine: every pass polls each
+// inbound ring (an empty one costs an untimed poll of its head cell),
+// reaps in batches, and senders publish in batches. The linear-scan
+// engine it replaced, which paid a header miss per ring, is gone; its
+// numbers stay in EXPERIMENTS.md.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
                          "Senders", "msg/s");
   for (const int senders : {2, 8, 16}) {
     params.senders = senders;
-    table.set("doorbell", static_cast<std::size_t>(senders),
+    table.set("CXL SHM", static_cast<std::size_t>(senders),
               osu::cxl_msgrate_fanin(params));
   }
   table.print(std::cout);

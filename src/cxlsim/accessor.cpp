@@ -230,23 +230,6 @@ void Accessor::nt_store_u64(std::uint64_t offset, std::uint64_t value) {
   cache_.nt_store_u64(offset, value);
 }
 
-void Accessor::hint_store_u64(std::uint64_t offset, std::uint64_t value) {
-  fault_access(offset, sizeof(std::uint64_t), /*is_read=*/false);
-  if (CoherenceChecker* chk = device_.checker()) {
-    // A hint word covers no payload, so it needs no fence: report it as
-    // fenced so the checker doesn't flag the (by-design) missing sfence.
-    chk->on_flag_store(&cache_, offset, /*fenced=*/true);
-  }
-  clock_.advance(device_.timing().params().cache_hit_latency);
-  cache_.nt_store_u64(offset, value);
-}
-
-std::uint64_t Accessor::peek_u64(std::uint64_t offset) {
-  CMPI_EXPECTS(is_aligned(offset, sizeof(std::uint64_t)));
-  fault_poll_read(offset, sizeof(std::uint64_t));
-  return cache_.nt_load_u64(offset);
-}
-
 std::uint64_t Accessor::poll_word(std::uint64_t offset) {
   domain_check(offset, sizeof(std::uint64_t), /*is_read=*/true);
   return cache_.nt_load_u64(offset);

@@ -114,21 +114,12 @@ class Accessor {
   /// by the next sfence, plus the per-line store cost.
   void discard(std::uint64_t offset, std::size_t size);
 
-  /// Poll-read one bare u64 without charging time (failed polls are
-  /// waiting, not work — the doorbell-word analogue of peek_flag).
-  [[nodiscard]] std::uint64_t peek_u64(std::uint64_t offset);
-  /// Poll-read the publish word of a record stored with publish_store,
-  /// lock-free and without charging time like peek_u64, but raising no
-  /// poison: a poller reads what it found with a timed read before using
-  /// it, and that read parks or raises the poison.
+  /// Poll-read one u64, such as the publish word of a record stored with
+  /// publish_store, lock-free and without charging time (failed polls
+  /// are waiting, not work) and raising no poison: a poller reads what it
+  /// found with a timed read before using it, and that read parks or
+  /// raises the poison.
   [[nodiscard]] std::uint64_t poll_word(std::uint64_t offset);
-
-  /// Fire-and-forget hint store of one u64 (doorbell words). The value is
-  /// a monotonic wake-up hint that carries no payload and orders against
-  /// nothing: a reader that misses it only sleeps until its next periodic
-  /// re-check. Charges a store-buffer retire (cache-hit latency), not a
-  /// full NT-store round, and does not join the sfence drain set.
-  void hint_store_u64(std::uint64_t offset, std::uint64_t value);
 
   /// Whether a bulk op pays the flush/invalidate sweep's setup cost.
   /// kBatched is for the second and later ops of one reap/publish batch:

@@ -54,25 +54,8 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
       rdvz_slot_cache_(static_cast<std::size_t>(ctx.nranks())),
       rendezvous_threshold_(rendezvous_threshold_for(
           ctx.config().rendezvous_threshold, matrix_.cell_payload())),
-      dbell_(ctx.doorbell_base(), ctx.nranks()),
-      dbell_next_(static_cast<std::size_t>(ctx.nranks()), 1),
-      dbell_seen_(static_cast<std::size_t>(ctx.nranks()), 0),
-      drain_pending_(static_cast<std::size_t>(ctx.nranks()), 0),
       publish_dirty_(static_cast<std::size_t>(ctx.nranks()), 0),
       stats_(std::make_unique<CommStats>()) {
-  for (int r = 0; r < ctx.nranks(); ++r) {
-    if (r == ctx.rank()) {
-      continue;
-    }
-    const auto s = static_cast<std::size_t>(r);
-    // Sender side: the pool word survives respawns; continuing past it
-    // keeps the slot monotonic whether or not scavenge cleared it.
-    dbell_next_[s] = dbell_.peek(ctx.acc(), r, ctx.rank()) + 1;
-    // Receiver side: start one behind so the first progress() visits
-    // every peer once (cells published before we attached have no edge
-    // ring coming).
-    dbell_seen_[s] = dbell_.peek(ctx.acc(), ctx.rank(), r) - 1;
-  }
   obs_registration_ = obs::ProviderRegistration([stats = stats_.get()] {
     return std::vector<obs::Sample>{
         {"p2p.messages_sent",
@@ -98,10 +81,6 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
          stats->publish_batches.load(std::memory_order_relaxed)},
         {"p2p.cells_published",
          stats->cells_published.load(std::memory_order_relaxed)},
-        {"p2p.doorbell_rings",
-         stats->doorbell_rings.load(std::memory_order_relaxed)},
-        {"p2p.doorbell_suppressed",
-         stats->doorbell_suppressed.load(std::memory_order_relaxed)},
         {"p2p.wait_ns",
          static_cast<std::uint64_t>(
              stats->wait_ns.load(std::memory_order_relaxed))}};
@@ -442,10 +421,9 @@ void Endpoint::publish_now(int dst, queue::SpscRing& ring) {
   if (batch == 0) {
     return;
   }
-  const bool edge = ring.publish_staged(ctx_->acc());
+  ring.publish_staged(ctx_->acc());
   ++stats_->publish_batches;
   stats_->cells_published += batch;
-  note_publish(dst, edge);
 }
 
 void Endpoint::flush_publishes() {
@@ -463,16 +441,6 @@ void Endpoint::flush_publishes() {
     // were visible; re-ring now that they are, so a receiver that woke,
     // found nothing, and re-armed is not stranded.
     ctx_->doorbell().ring();
-  }
-}
-
-void Endpoint::note_publish(int dst, bool edge) {
-  if (edge) {
-    const auto d = static_cast<std::size_t>(dst);
-    dbell_.ring(ctx_->acc(), dst, rank(), dbell_next_[d]++);
-    ++stats_->doorbell_rings;
-  } else {
-    ++stats_->doorbell_suppressed;
   }
 }
 
@@ -574,7 +542,6 @@ Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
     CMPI_OBS_COUNT("p2p.rdvz_rts_late", written_now ? 0 : 1);
     ++stats_->publish_batches;  // RTS cells publish per-cell by design:
     ++stats_->cells_published;  // segment pipelining needs each durable now
-    note_publish(dst, ring.last_publish_edge());
     enqueued_any = true;
     req.bytes_pushed = seg_begin + seg;
     // Scripted kill location: the RTS is durable — the receiver can pull
@@ -1043,8 +1010,7 @@ void Endpoint::complete_recv(Request& request, int src, int tag,
   request.recv_buffer = {};  // done with the caller's buffer
 }
 
-Endpoint::DrainOutcome Endpoint::drain_source(int src,
-                                              std::size_t max_cells) {
+bool Endpoint::drain_source(int src, std::size_t max_cells) {
   queue::SpscRing& ring = matrix_.ring(ctx_->acc(), rank(), src);
   Assembly& assembly = assembly_[static_cast<std::size_t>(src)];
   // Batched reaping: the head publish (and with it the invalidate-sweep
@@ -1054,16 +1020,7 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   std::size_t reaped = 0;
   while (reaped < max_cells) {
     const simtime::Ns peek_start = ctx_->clock().now();
-    std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
-    if (!header.has_value()) {
-      // Publish our true head BEFORE concluding empty: the producer's
-      // edge detection compares against the published head, and a stale
-      // one makes it suppress the doorbell for cells we have not seen —
-      // flush, then re-peek, and only a still-empty ring is really empty
-      // (its next publish will ring).
-      ring.flush_head(ctx_->acc());
-      header = ring.peek(ctx_->acc());
-    }
+    const std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
     if (!header.has_value()) {
       break;
     }
@@ -1357,56 +1314,28 @@ Endpoint::DrainOutcome Endpoint::drain_source(int src,
   // calls (at-least-once redelivery stays confined to one drain).
   ring.flush_head(ctx_->acc());
   ring.defer_head_publish(false);
-  DrainOutcome out;
-  out.drained_any = reaped > 0;
   // Reads ahead (the next cells' gathered wave); any poison it hits stays
   // parked with its cell (SpscRing::peek) instead of landing on the next
   // peer's dequeue, and each stamp waits for its dequeue too.
-  out.more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
+  const bool more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
   if (reaped > 0) {
     CMPI_OBS_HIST("p2p.cells_per_reap", reaped);
-  }
-  if (out.drained_any) {
     ctx_->doorbell().ring();
   }
-  return out;
+  return more;
 }
 
 // ---------- Progress / completion ----------
 
 void Endpoint::progress() {
-  ++progress_calls_;
-  // Periodic full scan: the doorbell hint is an unfenced fire-and-forget
-  // store, so its staleness must be bounded by something fenced — this
-  // is it (the flush-head-before-empty handshake in drain_source makes
-  // losses rare; this makes them harmless).
-  const bool full_scan = progress_calls_ % kFullScanInterval == 0;
   const int n = nranks();
   for (int i = 0; i < n; ++i) {
     // Rotating start: two saturating senders hitting the reap cap are
-    // served round-robin instead of lowest-rank-first.
+    // served round-robin instead of lowest-rank-first. An empty ring
+    // costs one untimed poll of its head cell.
     const int src = (scan_start_ + i) % n;
-    if (src == rank()) {
-      continue;
-    }
-    const auto s = static_cast<std::size_t>(src);
-    const std::uint64_t bell = dbell_.peek(ctx_->acc(), rank(), src);
-    const bool rung = bell != dbell_seen_[s];
-    if (!rung && drain_pending_[s] == 0 && !full_scan) {
-      continue;  // the common case: one free peek, no ring touch
-    }
-    if (rung) {
-      CMPI_OBS_COUNT("p2p.doorbell_visits", 1);
-    }
-    const DrainOutcome out = drain_source(src, kReapBatchCells);
-    if (rung && !out.drained_any) {
-      CMPI_OBS_COUNT("p2p.doorbell_spurious", 1);
-    }
-    drain_pending_[s] = out.more ? 1 : 0;
-    if (!out.more) {
-      // Advance past the value read BEFORE the drain: a ring landing
-      // during the drain keeps slot != seen, forcing a revisit.
-      dbell_seen_[s] = bell;
+    if (src != rank()) {
+      drain_source(src, kReapBatchCells);
     }
   }
   scan_start_ = (scan_start_ + 1) % n;
@@ -1631,9 +1560,9 @@ Status Endpoint::wait_for(const RequestPtr& request,
     Status alive = check_request_liveness(*request);
     if (!alive.is_ok() && request->kind == Request::Kind::kRecv) {
       // A convicted peer publishes nothing more, but what it published
-      // before dying may sit behind a lost doorbell hint that progress()
-      // skipped: drain its ring once before giving up on the receive.
-      while (drain_source(request->peer, kReapBatchCells).more) {
+      // before dying may lie past the one reap batch progress() took from
+      // its ring: drain the ring dry before giving up on the receive.
+      while (drain_source(request->peer, kReapBatchCells)) {
       }
       if (request->complete_) {
         break;
@@ -1686,9 +1615,10 @@ Status Endpoint::ssend_for(int dst, int tag, std::span<const std::byte> data,
 
 RecvInfo Endpoint::probe(int src, int tag) {
   CMPI_OBS_SPAN("p2p.probe");
+  ctx_->charge_mpi_overhead();
   std::optional<RecvInfo> found;
   ctx_->doorbell().wait_until([&] {
-    found = iprobe(src, tag);
+    found = iprobe_uncharged(src, tag);
     return found.has_value();
   });
   return *found;
@@ -1825,17 +1755,15 @@ Endpoint::PeerScavengeReport Endpoint::scavenge_peer(int dead_rank) {
   std::erase_if(retry_, [&](const auto& entry) {
     return entry.first.first == dead_rank;
   });
-  // PoolRecovery clears the corpse's doorbell slots; resync our local
-  // cursor so the respawned incarnation's FIRST ring is not mistaken
-  // for already-seen (and drop any pending-revisit debt — the ring was
-  // just tombstoned empty).
-  dbell_seen_[dead] = dbell_.peek(ctx_->acc(), rank(), dead_rank) - 1;
-  drain_pending_[dead] = 0;
   return report;
 }
 
 std::optional<RecvInfo> Endpoint::iprobe(int src, int tag) {
   ctx_->charge_mpi_overhead();
+  return iprobe_uncharged(src, tag);
+}
+
+std::optional<RecvInfo> Endpoint::iprobe_uncharged(int src, int tag) {
   progress();
   // Probing needs an envelope, not a complete payload: match partially-
   // arrived messages too (require_full=false).

@@ -36,28 +36,23 @@
 // acked) — late writes of the dead incarnation cannot leak into the new
 // epoch's traffic.
 //
-// Message-rate engine (doorbell-aggregated progress): the progress loop
-// does not scan every peer ring. Each sender bumps its slot in the
-// receiver's pool-resident AggDoorbell row on the ring's empty→non-empty
-// edge (detected at publish from the consumer's published head);
-// the receiver polls its one cacheline-packed row with time-free peeks
-// and visits only peers whose slot moved, reaping up to kReapBatchCells
-// cells per visit with ONE head publish and one invalidate-sweep setup
-// per batch, each small cell read with one fused header+payload-line
-// load. Senders batch cell publication the same way (one fence per
-// staged batch, then each cell's header store publishes it), and a burst
-// of nonblocking sends parks
-// its final partial batch across calls — flushed at every
-// progress/test/wait entry and in the destructor — so an isend storm
-// coalesces into few publishes. This is the only data path: fault-
-// injected runs publish and read exactly as production runs do, so a
-// crash mid-batch loses the unpublished cells as a real one would.
-// Matching walks two ordered queues, posted receives in post order and
-// unexpected messages in arrival order (see tag_match.hpp). A rotating
-// scan start plus the per-visit reap bound round-robins saturating
-// senders fairly. A periodic full scan (every kFullScanInterval calls)
-// plus the flush-head-before-concluding-empty discipline bound the
-// staleness of the unfenced doorbell hint.
+// Progress: every progress() call visits every inbound ring. A ring with
+// nothing published costs one untimed poll of its head cell's publish
+// word (Accessor::poll_word) and no virtual time, so the pass needs no
+// wake-up hint in the pool to skip idle peers. A ring with cells is
+// reaped up to kReapBatchCells cells per visit with ONE head publish and
+// one invalidate-sweep setup per batch, each small cell read with one
+// fused header+payload-line load. Senders batch cell publication the
+// same way (one fence per staged batch, then each cell's header store
+// publishes it), and a burst of nonblocking sends parks its final
+// partial batch across calls — flushed at every progress/test/wait
+// entry and in the destructor — so an isend storm coalesces into few
+// publishes. This is the only data path: fault-injected runs publish
+// and read exactly as production runs do, so a crash mid-batch loses the
+// unpublished cells as a real one would. Matching walks two ordered
+// queues, posted receives in post order and unexpected messages in
+// arrival order (see tag_match.hpp). A rotating scan start plus the
+// per-visit reap bound round-robins saturating senders fairly.
 //
 // Large-message fast path (one-copy rendezvous): a message larger than
 // rendezvous_threshold() (UniverseConfig::rendezvous_threshold, default
@@ -138,11 +133,10 @@ struct CommStats {
   /// Cells covered by those flushes. cells_published / publish_batches is
   /// the producer batching rate — 1.0 means batching never engaged.
   std::atomic<std::uint64_t> cells_published{0};
-  /// Aggregated-doorbell slots this rank rang (cell publishes that hit the
-  /// ring's empty→non-empty edge, so the receiver had to be woken).
+  /// Always 0: nothing in the pool is a doorbell (receivers poll every
+  /// ring). Kept only because perfbench/driver.cpp still reads them; go
+  /// with that file's next change.
   std::atomic<std::uint64_t> doorbell_rings{0};
-  /// Cell publishes into an already non-empty ring: no doorbell needed.
-  /// suppressed / (rings + suppressed) is the doorbell coalesce rate.
   std::atomic<std::uint64_t> doorbell_suppressed{0};
   /// Virtual time spent inside wait()/wait_all().
   std::atomic<double> wait_ns{0};
@@ -249,9 +243,9 @@ class Endpoint {
   /// with a depth-2 cache under an 8-message window).
   static constexpr std::size_t kRendezvousSlotCacheDepth =
       kMaxRendezvousInflight;
-  /// Cells reaped from one peer ring per doorbell visit before the
-  /// progress loop moves on (fairness bound) — and therefore the span of
-  /// one deferred head publish / one amortized invalidate-sweep setup.
+  /// Cells reaped from one peer ring per visit before the progress loop
+  /// moves on (fairness bound) — and therefore the span of one deferred
+  /// head publish / one amortized invalidate-sweep setup.
   static constexpr std::size_t kReapBatchCells = 16;
   /// Producer-side batch bounds: staged cells are published when either
   /// the cell count or the staged payload bytes reach these. A final
@@ -263,10 +257,6 @@ class Endpoint {
   /// batch-lockstep.
   static constexpr std::size_t kPublishBatchCells = 16;
   static constexpr std::size_t kPublishBatchBytes = std::size_t{16} << 10;
-  /// Every this-many progress() calls the engine drains ALL peer rings
-  /// regardless of doorbell state: belt-and-braces bound on the staleness
-  /// of the unfenced doorbell hint word.
-  static constexpr std::uint64_t kFullScanInterval = 64;
 
   /// Collective construction: every rank of the universe calls this during
   /// initialization. Rank 0 creates and formats the ring matrix in the
@@ -340,7 +330,8 @@ class Endpoint {
   std::optional<RecvInfo> iprobe(int src, int tag);
 
   /// MPI_Probe: block until a matching message is available; returns its
-  /// envelope without consuming it.
+  /// envelope without consuming it. One library entry however long it
+  /// polls.
   RecvInfo probe(int src, int tag);
 
   /// MPI_Sendrecv: simultaneous exchange without deadlock.
@@ -486,33 +477,29 @@ class Endpoint {
 
   void send_ssend_ack(int src, std::uint32_t counter);
 
-  /// What one bounded drain visit of a peer ring left behind.
-  struct DrainOutcome {
-    bool more = false;         ///< hit the reap cap with cells still queued
-    bool drained_any = false;  ///< consumed at least one cell
-  };
-  DrainOutcome drain_source(int src, std::size_t max_cells);
+  /// Reap up to `max_cells` cells from `src`'s ring. True when it hit the
+  /// cap with cells still queued.
+  bool drain_source(int src, std::size_t max_cells);
   void push_sends(int dst);
 
   /// wait() minus the MPI library-entry charge — the shared blocking loop
   /// for wait() (one charge per request) and wait_all() (one charge per
   /// call, like MPI_Waitall).
   Status wait_uncharged(const RequestPtr& request);
+  /// iprobe() minus the MPI library-entry charge: probe() polls through
+  /// it, so a blocking probe pays one entry however often the host wakes
+  /// it.
+  std::optional<RecvInfo> iprobe_uncharged(int src, int tag);
   bool match_unexpected(Request& request);
 
   /// Publish any staged cells on `ring` toward `dst` now (one fence for
-  /// the whole batch, then each cell's header store) and ring/suppress the
-  /// doorbell from the batch's empty→non-empty verdict.
+  /// the whole batch, then each cell's header store).
   void publish_now(int dst, queue::SpscRing& ring);
   /// Publish every ring with a parked partial batch (see
   /// kPublishBatchCells): the flush point batched nonblocking sends rely
   /// on. Rings the host doorbell when anything went out, so a receiver
   /// sleeping between our stage and our flush is not lost.
   void flush_publishes();
-  /// Account one cell publish toward `dst`: ring the destination's
-  /// aggregated doorbell slot on an empty→non-empty edge, count a
-  /// suppressed ring otherwise.
-  void note_publish(int dst, bool edge);
 
   // --- Large-message rendezvous path ---
   /// Outcome of one attempt to advance a rendezvous send.
@@ -590,22 +577,10 @@ class Endpoint {
   std::map<std::pair<int, std::uint32_t>, RetryState> retry_;
   PostedRecvQueue posted_recvs_;  // matched in post order
   UnexpectedQueue unexpected_;    // matched in arrival order
-  /// Aggregated doorbell state (tentpole). dbell_next_[dst] is the value
-  /// this rank's NEXT ring toward dst will store (monotonic across
-  /// respawns: seeded from the pool word + 1). dbell_seen_[src] is the
-  /// last value of src's slot this rank has fully drained behind;
-  /// slot != seen means src published since our last complete drain.
-  runtime::AggDoorbell dbell_;
-  std::vector<std::uint64_t> dbell_next_;  // per destination
-  std::vector<std::uint64_t> dbell_seen_;  // per source
-  /// A reap-capped visit left cells behind: revisit next progress() even
-  /// if the doorbell slot has not moved again.
-  std::vector<std::uint8_t> drain_pending_;
   /// Per destination: push_sends parked a partial staged batch on this
   /// ring (cleared by the publish that drains it).
   std::vector<std::uint8_t> publish_dirty_;
   int scan_start_ = 0;             // rotating fairness offset
-  std::uint64_t progress_calls_ = 0;
   /// Keeps matched-but-incomplete posted receives alive while their chunks
   /// stream in (the assembly holds a raw pointer).
   std::vector<RequestPtr> matched_keepalive_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -196,16 +195,15 @@ bool SpscRing::try_stage(cxlsim::Accessor& acc, const CellHeader& header,
   return true;
 }
 
-bool SpscRing::publish_staged(cxlsim::Accessor& acc) {
+void SpscRing::publish_staged(cxlsim::Accessor& acc) {
   if (staged_.empty()) {
-    return false;
+    return;
   }
   // One drain for the whole batch: every header stamp below covers every
   // staged payload. Each header store then publishes its cell; nothing
   // else is stored, and the header writes drain at the next fence.
   acc.sfence();
-  const std::uint64_t first = tail_local_ - staged_.size();
-  std::uint64_t index = first;
+  std::uint64_t index = tail_local_ - staged_.size();
   for (Staged& staged : staged_) {
     const std::uint64_t cell = cell_base(index);
     staged.header.stamp = std::bit_cast<std::uint64_t>(acc.clock().now());
@@ -222,26 +220,10 @@ bool SpscRing::publish_staged(cxlsim::Accessor& acc) {
   CMPI_OBS_HIST("ring.cells_per_publish",
                 static_cast<std::int64_t>(staged_.size()));
   staged_.clear();
-  // Empty→non-empty edge: each header store publishes its own cell, so the
-  // consumer may have drained any prefix of this batch and concluded
-  // "empty" at the first cell it found unpublished. If its published head
-  // lies in the batch, it may have gone idle — the caller must ring its
-  // doorbell. The peek is time-free; a consumer that merely lags its head
-  // publish flushes it before concluding empty (see defer_head_publish),
-  // so a head before the batch guarantees the consumer still sees a
-  // non-empty ring. Host-side, the fence pairs with can_dequeue's: the
-  // header stores are ordered before this load, as the consumer's head
-  // store is before its poll, so one side sees the other's store.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const std::uint64_t head = acc.peek_flag(base_ + kHeadOffset).value;
-  last_publish_edge_ = head - first < tail_local_ - first;
-  return last_publish_edge_;
 }
 
 bool SpscRing::can_dequeue(cxlsim::Accessor& acc) {
   if (visible_ == head_local_) {
-    // Pairs with publish_staged's fence (host memory order only).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
     visible_ = published_run_end(acc, head_local_, 1);
   }
   return visible_ != head_local_;

@@ -173,20 +173,8 @@ class SpscRing {
   }
   /// Publish all staged cells: one fence, then per-cell header stores,
   /// each of which publishes its cell (no second fence: the header writes
-  /// drain at the producer's next fence). Returns the empty→non-empty edge
-  /// verdict: true when the published head lies in this batch, i.e. the
-  /// consumer had drained everything published before it and perhaps a
-  /// prefix of it (the cells turn visible one header at a time) — it may
-  /// have concluded "empty" and gone idle, so the producer must ring the
-  /// receiver's doorbell. False with nothing staged.
-  bool publish_staged(cxlsim::Accessor& acc);
-  /// Edge verdict of the most recent publish (publish_staged directly, or
-  /// the one embedded in try_enqueue). Lets callers that publish per cell
-  /// (rendezvous RTS descriptors) drive the same doorbell decision as the
-  /// batched path.
-  [[nodiscard]] bool last_publish_edge() const noexcept {
-    return last_publish_edge_;
-  }
+  /// drain at the producer's next fence). Nothing staged: no-op.
+  void publish_staged(cxlsim::Accessor& acc);
 
   // ---- Consumer side ----
   /// True if a cell is available to dequeue. Polls the generation of the
@@ -239,9 +227,8 @@ class SpscRing {
   // ---- Consumer side: batched reaping ----
   /// When deferred, try_dequeue skips the per-cell head publish (and
   /// amortizes the invalidate sweep across the batch); the consumer must
-  /// call flush_head() at the end of each reap batch — in particular
-  /// BEFORE concluding the ring is empty, or the producer's
-  /// empty→non-empty edge detection can miss a wake-up.
+  /// call flush_head() at the end of each reap batch, or a producer
+  /// waiting on a full ring never sees the cells freed.
   void defer_head_publish(bool on) noexcept { head_defer_ = on; }
   /// Publish the head if any dequeues are pending publication.
   void flush_head(cxlsim::Accessor& acc);
@@ -370,8 +357,6 @@ class SpscRing {
   bool last_intact_ = true;
   /// Producer-side: cells staged ahead of the last published cell.
   std::vector<Staged> staged_;
-  /// Producer-side: edge verdict of the most recent publish.
-  bool last_publish_edge_ = false;
   /// Consumer-side: value the head flag currently holds in the pool.
   std::uint64_t head_published_ = 0;
   /// Consumer-side: head publishes are batched (see defer_head_publish).

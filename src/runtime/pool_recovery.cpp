@@ -99,15 +99,6 @@ Result<PoolRecovery::ScavengeReport> PoolRecovery::scavenge(
       acc, ctx.barrier_base(), static_cast<std::size_t>(ctx.nranks()),
       static_cast<std::size_t>(dead_rank));
 
-  // Zero the corpse's column of aggregated-doorbell slots: its stale rings
-  // must not keep waking receivers, and its next incarnation's counters
-  // restart from zero (receivers force a revisit of every peer ring at
-  // endpoint construction, so no wake-up is lost by the reset).
-  AggDoorbell::clear_sender(acc, ctx.doorbell_base(),
-                            static_cast<std::size_t>(ctx.nranks()),
-                            dead_rank);
-  report.doorbell_cleared = true;
-
   // Ledger last, still inside the critical section: stamp the rank, bump
   // the global epoch. Single writer under the arena lock — plain
   // timestamped flags, no RMW.

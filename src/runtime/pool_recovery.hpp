@@ -75,9 +75,6 @@ class PoolRecovery {
     std::uint64_t rendezvous_slots_reclaimed = 0;
     std::uint64_t lock_tickets_broken = 0;
     bool barrier_slot_forged = false;
-    /// The dead rank's column of aggregated-doorbell slots was zeroed
-    /// (stale rings gone; its next incarnation restarts the counters).
-    bool doorbell_cleared = false;
   };
 
   /// Reclaim the pool state of `dead_rank`'s current incarnation. The rank

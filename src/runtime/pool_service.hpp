@@ -9,13 +9,13 @@
 //
 //   * Fault domains — each tenant's Universe occupies a private region
 //     [base, base + size) of the pool and every one of its structures
-//     (bootstrap page, barrier slots, heartbeats, recovery ledger,
-//     doorbell rows, arena with its lock tickets and ring cells) is laid
-//     out inside it. Crash recovery (PoolRecovery scavenge) and Arena
-//     fsck therefore operate only on the convicted tenant's region, and
-//     each rank accessor carries a blast-radius fence (see
-//     cxlsim::Accessor::set_fault_domain) that counts any access leaving
-//     the region — the service's proof obligation that isolation held.
+//     (bootstrap page, barrier slots, heartbeats, recovery ledger, arena
+//     with its lock tickets and ring cells) is laid out inside it. Crash
+//     recovery (PoolRecovery scavenge) and Arena fsck therefore operate
+//     only on the convicted tenant's region, and each rank accessor
+//     carries a blast-radius fence (see cxlsim::Accessor::set_fault_domain)
+//     that counts any access leaving the region — the service's proof
+//     obligation that isolation held.
 //
 //   * Admission control — join() reserves a region and a tenant slot, or
 //     fails fast with kAdmissionRejected when the service is at capacity
@@ -60,8 +60,7 @@ struct TenantConfig {
   unsigned nodes = 2;
   unsigned ranks_per_node = 1;
   /// Pool bytes for the tenant's region (its whole fault domain: barrier,
-  /// heartbeats, ledger, doorbells and arena all live inside). Rounded up
-  /// to 4 KiB.
+  /// heartbeats, ledger and arena all live inside). Rounded up to 4 KiB.
   std::size_t region_size = 4_MiB;
   /// Guaranteed fraction of device streaming bandwidth (WFQ share).
   /// 0 = best effort. The sum over admitted tenants must stay <= 1.

@@ -21,15 +21,13 @@ thread_local RankCtx* tls_ctx = nullptr;
 
 RankCtx* RankCtx::current() noexcept { return tls_ctx; }
 
-Universe::Universe(const UniverseConfig& config)
-    : config_(config), doorbell_(config.doorbell_recheck) {
+Universe::Universe(const UniverseConfig& config) : config_(config) {
   CMPI_EXPECTS(config.nodes > 0);
   CMPI_EXPECTS(config.ranks_per_node > 0);
   CMPI_EXPECTS(config.cell_payload >= kCacheLineSize);
   CMPI_EXPECTS(is_aligned(config.cell_payload, kCacheLineSize));
   CMPI_EXPECTS(config.ring_cells >= 2);
   CMPI_EXPECTS(config.failure_lease.count() > 0);
-  CMPI_EXPECTS(config.doorbell_recheck.count() > 0);
   if (const Status knobs = validate(config); !knobs.is_ok()) {
     throw std::invalid_argument(knobs.message());
   }
@@ -85,16 +83,14 @@ Universe::Universe(const UniverseConfig& config)
   barrier_base_ = region_base_ + kBarrierOffset;
   const std::uint64_t barrier_end =
       barrier_base_ + SeqBarrier::footprint(config_.nranks());
-  // Heartbeat slots, the recovery ledger and the aggregated p2p doorbell
-  // matrix ride in the same reserved region as the barrier; the arena
-  // starts at the next 4 KiB boundary. Everything is region-relative so a
-  // tenant's whole footprint — metadata included — lives in its fault
-  // domain.
+  // Heartbeat slots and the recovery ledger ride in the same reserved
+  // region as the barrier; the arena starts at the next 4 KiB boundary.
+  // Everything is region-relative so a tenant's whole footprint —
+  // metadata included — lives in its fault domain.
   hb_base_ = barrier_end;
   recovery_base_ = hb_base_ + FailureDetector::footprint(config_.nranks());
-  doorbell_base_ = recovery_base_ + PoolRecovery::footprint(config_.nranks());
   arena_base_ = align_up(
-      doorbell_base_ + AggDoorbell::footprint(config_.nranks()), 4096);
+      recovery_base_ + PoolRecovery::footprint(config_.nranks()), 4096);
   CMPI_EXPECTS(arena_base_ + arena::Arena::metadata_footprint(
                                  config_.arena_params) <
                region_end);
@@ -109,7 +105,6 @@ Universe::Universe(const UniverseConfig& config)
   SeqBarrier::format(boot, barrier_base_, config_.nranks());
   FailureDetector::format(boot, hb_base_, config_.nranks());
   PoolRecovery::format(boot, recovery_base_, config_.nranks());
-  AggDoorbell::format(boot, doorbell_base_, config_.nranks());
   check_ok(arena::Arena::format(boot, arena_base_, region_end - arena_base_,
                                 /*participant=*/0, config_.arena_params));
   boot_cache.writeback_all();
@@ -201,7 +196,6 @@ void Universe::run_rank(unsigned r, const std::function<void(RankCtx&)>& fn) {
   ctx.recovery_counters_ = recovery_counters_.get();
   ctx.barrier_base_ = barrier_base_;
   ctx.recovery_base_ = recovery_base_;
-  ctx.doorbell_base_ = doorbell_base_;
   ctx.acc_ = std::make_unique<cxlsim::Accessor>(
       *device_, *node_caches_[static_cast<std::size_t>(ctx.node_)],
       ctx.clock_);

@@ -10,7 +10,6 @@
 //   [4 KiB, ...)      initialization-barrier slot array (§3.4)
 //   [hb_base, ...)    heartbeat slots, one cacheline per rank (liveness)
 //   [recovery_base, ) PoolRecovery ledger (epoch + per-rank stamps)
-//   [doorbell_base, ) aggregated p2p doorbell matrix (AggDoorbell)
 //   [arena_base, )    CXL SHM Arena — every queue/window/flag object
 //
 // Universe::run(fn) starts its ranks through runtime::launch_ranks (one
@@ -112,18 +111,15 @@ struct UniverseConfig {
   /// heartbeat counter does not advance for this long (wall-clock) is
   /// declared dead by deadline-aware blocking calls.
   std::chrono::milliseconds failure_lease{250};
-  /// Doorbell predicate re-check interval; bounds how stale a lease check
-  /// made from a wait loop can be. Must be well under failure_lease.
-  std::chrono::milliseconds doorbell_recheck{1};
 
   // --- Service mode (multi-tenant; see runtime/pool_service.hpp) ---
   /// Attach to an existing shared device instead of creating one. The
   /// universe then occupies [region_base, region_base + region_size) of
   /// the pool: every on-pool structure (bootstrap page, barrier,
-  /// heartbeats, recovery ledger, doorbell matrix, arena) is laid out
-  /// region-relative, and each rank accessor is fenced to the region with
-  /// blast-radius counters. pool_size/fault_plan are the *device owner's*
-  /// business and must stay at their defaults here.
+  /// heartbeats, recovery ledger, arena) is laid out region-relative, and
+  /// each rank accessor is fenced to the region with blast-radius
+  /// counters. pool_size/fault_plan are the *device owner's* business and
+  /// must stay at their defaults here.
   std::shared_ptr<cxlsim::DaxDevice> shared_device;
   std::uint64_t region_base = 0;
   std::size_t region_size = 0;  ///< 0 = rest of the pool
@@ -212,10 +208,6 @@ class RankCtx {
   [[nodiscard]] std::uint64_t recovery_base() const noexcept {
     return recovery_base_;
   }
-  /// Base offset of the aggregated p2p doorbell matrix (AggDoorbell).
-  [[nodiscard]] std::uint64_t doorbell_base() const noexcept {
-    return doorbell_base_;
-  }
   /// Shared recovery counters (see RecoveryCounters).
   [[nodiscard]] RecoveryCounters& recovery_counters() noexcept {
     return *recovery_counters_;
@@ -253,7 +245,6 @@ class RankCtx {
   RecoveryCounters* recovery_counters_ = nullptr;
   std::uint64_t barrier_base_ = 0;
   std::uint64_t recovery_base_ = 0;
-  std::uint64_t doorbell_base_ = 0;
 };
 
 class Universe {
@@ -303,10 +294,6 @@ class Universe {
   /// Base offset of the PoolRecovery ledger.
   [[nodiscard]] std::uint64_t recovery_base() const noexcept {
     return recovery_base_;
-  }
-  /// Base offset of the aggregated p2p doorbell matrix.
-  [[nodiscard]] std::uint64_t doorbell_base() const noexcept {
-    return doorbell_base_;
   }
 
   /// Restart a crashed rank for the NEXT run() epoch under a bumped
@@ -383,7 +370,6 @@ class Universe {
   Doorbell doorbell_;
   std::uint64_t hb_base_ = 0;
   std::uint64_t recovery_base_ = 0;
-  std::uint64_t doorbell_base_ = 0;
   std::uint64_t arena_base_ = 0;
   /// Peers declared dead by rank detectors, merged at thread exit.
   mutable std::mutex failures_mutex_;

@@ -170,16 +170,16 @@ TEST_F(PerfSmoke, MessageRateFanin) {
   p.window = 64;
   p.iters = 3;
   p.warmup = 1;
-  const double doorbell = cxl_msgrate_fanin(p);
-  check("msgrate_fanin_8B_16snd", doorbell);
-  // Acceptance floor for the doorbell engine, independent of baseline
+  const double rate = cxl_msgrate_fanin(p);
+  check("msgrate_fanin_8B_16snd", rate);
+  // Acceptance floor for the progress engine, independent of baseline
   // drift: at least 2x the rate the deleted linear-scan engine recorded
   // at this point (EXPERIMENTS.md, message-rate section).
   constexpr double kRecordedLegacyMsgRate = 247500.7;
-  EXPECT_GE(doorbell, 2.0 * kRecordedLegacyMsgRate)
-      << "doorbell engine " << doorbell << " msg/s vs legacy scan "
+  EXPECT_GE(rate, 2.0 * kRecordedLegacyMsgRate)
+      << "progress engine " << rate << " msg/s vs legacy scan "
       << kRecordedLegacyMsgRate
-      << " msg/s — the aggregated-doorbell progress path lost its edge";
+      << " msg/s — batched publish and reap lost their edge";
 }
 
 TEST_F(PerfSmoke, HierarchicalAllreduce) {

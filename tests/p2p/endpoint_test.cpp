@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -316,6 +317,39 @@ TEST(Endpoint, BlockingProbeReportsEnvelope) {
       EXPECT_EQ(buffer, pattern(300, 2));
     }
   });
+}
+
+// Virtual time a blocking probe for an 8 B message takes when rank 0
+// sends it after `delay` of host time. The receiver's clock starts 1 s
+// ahead, past every stamp the message carries, so the probe's cost is
+// only what it charges itself.
+double probe_cost_after_host_delay(std::chrono::milliseconds delay) {
+  runtime::Universe universe(small_config(2, 1));
+  double cost = 0;
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    if (ctx.rank() == 0) {
+      std::this_thread::sleep_for(delay);
+      check_ok(ep.send(1, 3, pattern(8, 3)));
+    } else {
+      ctx.clock().advance(1e9);
+      const double before = ctx.clock().now();
+      EXPECT_EQ(ep.probe(0, 3).bytes, 8u);
+      cost = ctx.clock().now() - before;
+      std::vector<std::byte> buffer(8);
+      check_ok(ep.recv(0, 3, buffer).status());
+    }
+  });
+  return cost;
+}
+
+TEST(Endpoint, BlockingProbeCostDoesNotGrowWithHostWaiting) {
+  // MPI_Probe is one library call however often the host wakes it to
+  // poll: a sender 30 ms late in host time must not make it dearer.
+  using std::chrono::milliseconds;
+  const double prompt = probe_cost_after_host_delay(milliseconds(0));
+  const double late = probe_cost_after_host_delay(milliseconds(30));
+  EXPECT_DOUBLE_EQ(prompt, late);
 }
 
 // A receive absorbs the time of the message it consumes, not of a later

@@ -378,37 +378,6 @@ TEST_F(SpscRingTest, HeaderStorePublishesAStagedCell) {
   consumer_->flush_head(*consumer_acc_);
 }
 
-TEST_F(SpscRingTest, PublishEdgeCoversAConsumerIdleInsideTheBatch) {
-  // Cells of a batch turn visible one header store at a time, so a
-  // consumer can drain the batch's first cells and go idle at the first
-  // one still unpublished. A published head anywhere in the batch is an
-  // empty→non-empty edge; a head before the batch is not (the consumer
-  // still has earlier cells to drain and will reach this batch).
-  publish(1);
-  EXPECT_TRUE(producer_->last_publish_edge());  // head 0, batch [0, 1)
-  publish(2);
-  EXPECT_FALSE(producer_->last_publish_edge());  // head 0, batch [1, 3)
-  CellHeader out{};
-  std::vector<std::byte> got(kPayload);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
-  }
-  publish(2);
-  EXPECT_TRUE(producer_->last_publish_edge());  // head 3, batch [3, 5)
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
-  }
-  // Batch [5, 7): the consumer drained cell 5 while cell 6's header was
-  // still unwritten, and sits idle with its head published at 6.
-  for (int i = 0; i < 2; ++i) {
-    const auto payload = pattern(8, i);
-    ASSERT_TRUE(
-        producer_->try_stage(*producer_acc_, header_for(payload, i), payload));
-  }
-  consumer_acc_->publish_flag(SpscRing::kHeadOffset, 6);
-  EXPECT_TRUE(producer_->publish_staged(*producer_acc_));
-}
-
 TEST_F(SpscRingTest, NeverWrittenAndPreviousLapCellsDoNotValidate) {
   // The fixture's ring sits on never-written pool memory; three laps make
   // every slot hold a previous-lap cell before it is republished.
@@ -700,7 +669,7 @@ TEST_F(SpscRingTest, FullRingReloadLandsOnTheReusedCellsFreedStamp) {
   std::vector<std::byte> got(kPayload);
   consumer_clock_.advance(2e6);
   ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
-  const auto freed = std::bit_cast<simtime::Ns>(producer_acc_->peek_u64(
+  const auto freed = std::bit_cast<simtime::Ns>(producer_acc_->poll_word(
       SpscRing::kCellsOffset + offsetof(CellHeader, freed_stamp)));
   consumer_clock_.advance(1e6);
   ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));

@@ -244,47 +244,45 @@ TEST(PoolRecoveryScavenge, SlotWalkBeatsWhileHoldingTheLock) {
 }
 
 TEST(PoolRecoveryScavenge, RecvDrainsADeadSendersRingBeforeGivingUp) {
-  // Rank 1 publishes a whole message, loses the doorbell hint that
-  // announces it, and falls silent. The receiver convicts it one lease
-  // later, long before progress() comes round to its periodic full ring
-  // scan (every 64th call, about 64 ms when idle): the receive must still
-  // deliver what the corpse published before it died.
+  // Rank 1 publishes 20 one-cell messages into a 32-cell ring and falls
+  // silent. The receiver convicts it first (the verdict is sticky), then
+  // receives the 20th message. One progress() pass reaps only
+  // kReapBatchCells (16) of the cells, so the receive sees a dead peer
+  // while its message still sits in the ring: wait_for must drain the
+  // ring dry before giving up on the receive.
+  constexpr int kMessages = 20;
+  static_assert(kMessages > static_cast<int>(p2p::Endpoint::kReapBatchCells));
   runtime::UniverseConfig cfg = recovery_config();
+  cfg.ring_cells = 32;
   cfg.failure_lease = 20ms;
   runtime::Universe universe(cfg);
-  const std::vector<std::byte> msg = patterned(256, 11);
-  std::atomic<bool> armed{false};
   std::atomic<bool> sent{false};
   std::atomic<bool> done{false};
 
   universe.run([&](runtime::RankCtx& ctx) {
     p2p::Endpoint ep = p2p::Endpoint::create(ctx);
     if (ctx.rank() == 1) {
-      while (!armed.load()) {
-        std::this_thread::yield();
+      for (int k = 0; k < kMessages; ++k) {
+        check_ok(ep.send(0, k, patterned(256, static_cast<std::uint64_t>(k))));
       }
-      check_ok(ep.send(0, 4, msg));
-      runtime::AggDoorbell(ctx.doorbell_base(), ctx.nranks())
-          .ring(ctx.acc(), /*receiver=*/0, /*sender=*/1, 0);
       sent = true;
-      // Silent: no heartbeat, no ring, until the receiver is done.
+      // Silent: no heartbeat, no send, until the receiver is done.
       while (!done.load()) {
         std::this_thread::sleep_for(1ms);
       }
       return;
     }
-    // The first pass visits every peer and leaves the hint seen at 0, the
-    // value the sender rolls its slot back to.
-    ep.progress();
-    armed = true;
     while (!sent.load()) {
       std::this_thread::yield();
     }
-    std::vector<std::byte> buf(msg.size());
-    const auto r = ep.recv_for(1, 4, buf, 10000ms);
+    while (!ctx.failure_detector().dead(ctx.acc(), 1)) {
+      std::this_thread::sleep_for(1ms);
+    }
+    std::vector<std::byte> buf(256);
+    const auto r = ep.recv_for(1, kMessages - 1, buf, 10000ms);
     done = true;
     ASSERT_TRUE(r.is_ok()) << r.status().message();
-    EXPECT_EQ(buf, msg);
+    EXPECT_EQ(buf, patterned(256, kMessages - 1));
   });
 }
 
