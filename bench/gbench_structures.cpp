@@ -112,7 +112,8 @@ void BM_SpscRingRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_SpscRingRoundTrip)->Arg(64)->Arg(4096)->Arg(65536);
+// 1 KiB: the gather plus one line-fill wave read the chunk.
+BENCHMARK(BM_SpscRingRoundTrip)->Arg(64)->Arg(1024)->Arg(4096)->Arg(65536);
 
 /// Arena format at 10 levels: 1,009 level-1 buckets is the library's
 /// default, 200,000 the paper's §3.7 production table (~244 MiB).

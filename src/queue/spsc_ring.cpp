@@ -301,9 +301,26 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
       // The whole chunk rode in with the fused read: host-side copy only,
       // no second pool read, no invalidate sweep.
       std::memcpy(chunk.data(), peeked.first_line(), header_out.chunk_bytes);
+    } else if (header_out.chunk_bytes <= kWaveChunkBytes) {
+      // The rest of the chunk is at most one wave of line fills whose
+      // addresses the header gave: one gathered NT read of its whole
+      // lines, no invalidate sweep (NT loads bypass the cache), so the
+      // batch's sweep stays unpaid for a later long cell.
+      std::memcpy(chunk.data(), peeked.first_line(), kCacheLineSize);
+      const auto rest = chunk.subspan(kCacheLineSize);
+      std::array<std::byte, kWaveChunkBytes - kCacheLineSize> lines{};
+      cxlsim::Accessor::GatherRange wave;
+      wave.offset = cell + sizeof(CellHeader) + kCacheLineSize;
+      wave.dst = std::span(lines).first(align_up(rest.size(), kCacheLineSize));
+      acc.nt_load_gather({&wave, 1});
+      if (!acc.poison_pending()) {
+        acc.exchange_poison(wave.poison);
+      }
+      std::memcpy(rest.data(), lines.data(), rest.size());
+      CMPI_OBS_COUNT("ring.payload_waves", 1);
     } else {
-      // In a deferred-head reap batch, cells after the first share the
-      // batch's single invalidate sweep.
+      // In a deferred-head reap batch, the first bulk read pays the
+      // batch's single invalidate sweep and later ones share it.
       acc.bulk_read(cell + sizeof(CellHeader), chunk,
                     head_defer_ && read_setup_charged_
                         ? cxlsim::Accessor::BulkCharge::kBatched

@@ -197,12 +197,11 @@ class SpscRing {
   /// so the wave costs one line-fill latency however many cells it covers
   /// (a wave is cxlsim::kLineFillBuffers line fills at most, which makes
   /// kGatherCells = 8; one visible cell is a wave of one). That wave is the
-  /// only read a receive pays before its payload copy. Later peeks, and
-  /// the dequeues of the gathered cells, charge no read: iprobe/probe
-  /// polling loops advance virtual time by zero, and a dequeue whose chunk
-  /// fits the prefetched line skips the payload read (and its invalidate
-  /// sweep) entirely. This is the dominant per-message receiver cost at
-  /// small sizes.
+  /// only read a receive pays before its payload copy. Later peeks charge
+  /// no read, so iprobe/probe polling loops advance virtual time by zero,
+  /// and a dequeue whose chunk fits the prefetched line charges none
+  /// either (see try_dequeue for longer chunks). This is the dominant
+  /// per-message receiver cost at small sizes.
   ///
   /// Media poison a gathered read touches belongs to its own cell, not to
   /// whatever the caller reads next: it is parked with the cell and
@@ -216,6 +215,13 @@ class SpscRing {
   /// the peeked header; pass empty to discard). Returns false when empty.
   /// Reads the cell through peek() if no peek has read it yet; its CRC
   /// and poison are checked per cell.
+  /// The payload read depends on the chunk's length. A chunk that fits the
+  /// line the gather fetched is copied host-side. Up to kWaveChunkBytes,
+  /// the rest of the chunk is one gathered wave of its lines: one device
+  /// read reservation plus one line fill, no invalidate sweep, and its
+  /// poison raised on the accessor. A longer chunk is one bulk_read, which
+  /// pays the sweep's setup unless an earlier bulk read of the same
+  /// deferred-head reap batch paid it.
   /// The cell's stamp is absorbed before the payload read unless
   /// `absorb_stamp` is false: then the caller keeps `header_out.stamp`,
   /// plus the time this call took, and absorbs it when it consumes what
@@ -281,6 +287,10 @@ class SpscRing {
   /// Cells one gathered peek reads: each takes two line fills (header and
   /// first payload line), and a wave is cxlsim::kLineFillBuffers fills.
   static constexpr std::size_t kGatherCells = cxlsim::kLineFillBuffers / 2;
+  /// Longest chunk try_dequeue reads without a bulk read: the payload line
+  /// the gather fetched plus one wave of line fills for the rest (1,088 B).
+  static constexpr std::size_t kWaveChunkBytes =
+      (1 + cxlsim::kLineFillBuffers) * kCacheLineSize;
 
  private:
   SpscRing(std::uint64_t base, std::size_t cells, std::size_t cell_payload)

@@ -154,6 +154,14 @@ TEST_F(PerfSmoke, TwosidedLatencySmallEager) {
   check("twosided_lat_us_16K", lat[1]);
 }
 
+TEST_F(PerfSmoke, TwosidedLatencyShortPayload) {
+  // A 512 B chunk is read by the gather plus one line-fill wave, with no
+  // invalidate sweep. Its own universe leaves the 4 KiB and 16 KiB
+  // points above where they fall in their ring's laps.
+  const auto lat = cxl_twosided_latency_us(smoke_params({512}));
+  check("twosided_lat_us_512", lat[0]);
+}
+
 TEST_F(PerfSmoke, OnesidedBandwidth) {
   const auto params = smoke_params({1_MiB});
   const auto bw = cxl_onesided_bw_mbps(params);

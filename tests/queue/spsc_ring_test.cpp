@@ -60,17 +60,68 @@ class SpscRingTest : public ::testing::Test {
     producer_->publish_staged(*producer_acc_);
   }
 
-  /// Virtual time one nt_load of `bytes` takes a rank at `start` on an idle
-  /// device of the fixture's geometry.
-  static simtime::Ns nt_load_cost(simtime::Ns start, std::size_t bytes) {
+  /// Virtual time `reads` (called with an Accessor) takes a rank at
+  /// `start` on an idle device of the fixture's geometry.
+  template <typename Reads>
+  static simtime::Ns twin_cost(simtime::Ns start, Reads reads) {
     auto device = check_ok(cxlsim::DaxDevice::create(8_MiB));
     cxlsim::CacheSim cache(*device);
     simtime::VClock clock;
     clock.advance(start);
     cxlsim::Accessor acc(*device, cache, clock);
-    std::vector<std::byte> out(bytes);
-    acc.nt_load(0, out);
+    reads(acc);
     return clock.now() - start;
+  }
+
+  /// Virtual time one nt_load of `bytes` takes a rank at `start` on an idle
+  /// device of the fixture's geometry.
+  static simtime::Ns nt_load_cost(simtime::Ns start, std::size_t bytes) {
+    return twin_cost(start, [bytes](cxlsim::Accessor& acc) {
+      std::vector<std::byte> out(bytes);
+      acc.nt_load(0, out);
+    });
+  }
+
+  /// Enable obs metrics from a clean registry; the test turns them off.
+  static void count_metrics() {
+    obs::Config metrics_on;
+    metrics_on.metrics = true;
+    obs::configure(metrics_on);
+    obs::MetricsRegistry::instance().reset_for_test();
+  }
+  static std::uint64_t counter(const std::string& name) {
+    return obs::MetricsRegistry::instance().snapshot().counter(name);
+  }
+
+  struct TimedDequeue {
+    simtime::Ns start = 0;     ///< consumer clock when the dequeue began
+    simtime::Ns cost = 0;      ///< virtual time the dequeue took
+    std::uint64_t sweeps = 0;  ///< cxl.bulk_sweeps it counted
+    std::uint64_t waves = 0;   ///< ring.payload_waves it counted
+  };
+  /// Publish one `bytes`-byte message, then dequeue it, intact, on a
+  /// consumer idle past its stamp with the head publish deferred. Call with
+  /// metrics on (count_metrics).
+  TimedDequeue timed_dequeue(std::size_t bytes) {
+    const auto payload = pattern(bytes, static_cast<int>(bytes));
+    EXPECT_TRUE(producer_->try_enqueue(*producer_acc_, header_for(payload),
+                                       payload));
+    consumer_clock_.advance(1e6);
+    consumer_->defer_head_publish(true);
+    const std::uint64_t sweeps = counter("cxl.bulk_sweeps");
+    const std::uint64_t waves = counter("ring.payload_waves");
+    TimedDequeue out;
+    out.start = consumer_clock_.now();
+    CellHeader header{};
+    std::vector<std::byte> got(bytes);
+    EXPECT_TRUE(consumer_->try_dequeue(*consumer_acc_, header, got));
+    out.cost = consumer_clock_.now() - out.start;
+    out.sweeps = counter("cxl.bulk_sweeps") - sweeps;
+    out.waves = counter("ring.payload_waves") - waves;
+    EXPECT_TRUE(consumer_->last_dequeue_intact());
+    EXPECT_EQ(got, payload);
+    consumer_->flush_head(*consumer_acc_);
+    return out;
   }
 
   /// Virtual time a rank that bulk-writes `payload_bytes` into the first
@@ -378,6 +429,80 @@ TEST_F(SpscRingTest, HeaderStorePublishesAStagedCell) {
   consumer_->flush_head(*consumer_acc_);
 }
 
+TEST_F(SpscRingTest, ChunkRestWithinOneWaveIsReadInOneLineFillWave) {
+  // A chunk longer than the payload line the gather fetched, whose rest
+  // spans at most one wave of cxlsim::kLineFillBuffers lines, costs the
+  // gather plus one wave of the rest's lines: one device read reservation
+  // and one line fill, and no invalidate sweep. A 1-byte rest is a line's
+  // wave like any other, not an 8-byte NT load.
+  constexpr std::size_t kFused = sizeof(CellHeader) + kCacheLineSize;
+  static_assert(SpscRing::kWaveChunkBytes == 1088);
+  reformat(kCells, 2_KiB);
+  count_metrics();
+  for (const std::size_t bytes :
+       {std::size_t{65}, std::size_t{512}, SpscRing::kWaveChunkBytes}) {
+    SCOPED_TRACE(std::to_string(bytes) + " B");
+    const TimedDequeue got = timed_dequeue(bytes);
+    const std::size_t rest = align_up(bytes - kCacheLineSize, kCacheLineSize);
+    EXPECT_DOUBLE_EQ(got.cost,
+                     twin_cost(got.start, [&](cxlsim::Accessor& acc) {
+                       std::vector<std::byte> lines(kFused + rest);
+                       acc.nt_load(0, std::span(lines).first(kFused));
+                       acc.nt_load(kFused, std::span(lines).subspan(kFused));
+                     }));
+    EXPECT_EQ(got.sweeps, 0u);
+    EXPECT_EQ(got.waves, 1u);
+  }
+  obs::configure(obs::Config{});
+}
+
+TEST_F(SpscRingTest, ChunkPastOneWaveKeepsTheSweptBulkRead) {
+  // One byte past a wave, the chunk is read as it always was: the gather,
+  // then a bulk_read of the whole chunk that pays the invalidate sweep.
+  constexpr std::size_t kFused = sizeof(CellHeader) + kCacheLineSize;
+  constexpr std::size_t kBytes = SpscRing::kWaveChunkBytes + 1;
+  reformat(kCells, 2_KiB);
+  count_metrics();
+  const TimedDequeue got = timed_dequeue(kBytes);
+  EXPECT_DOUBLE_EQ(got.cost, twin_cost(got.start, [](cxlsim::Accessor& acc) {
+                     std::vector<std::byte> fused(kFused);
+                     acc.nt_load(0, fused);
+                     std::vector<std::byte> chunk(kBytes);
+                     acc.bulk_read(kFused, chunk);
+                   }));
+  EXPECT_EQ(got.sweeps, 1u);
+  EXPECT_EQ(got.waves, 0u);
+  obs::configure(obs::Config{});
+}
+
+TEST_F(SpscRingTest, ShortChunkLeavesTheBatchSweepToTheFirstLongCell) {
+  // A deferred-head reap batch pays one invalidate sweep, on its first
+  // bulk read: a short cell's wave before it pays none and leaves the
+  // sweep unpaid.
+  reformat(8, 4_KiB);
+  const std::size_t sizes[] = {512, 4_KiB, 4_KiB};
+  for (int i = 0; i < 3; ++i) {
+    const auto payload = pattern(sizes[i], i);
+    ASSERT_TRUE(producer_->try_stage(*producer_acc_, header_for(payload, i),
+                                     payload));
+  }
+  producer_->publish_staged(*producer_acc_);
+  count_metrics();  // the consumer's sweeps only
+  consumer_clock_.advance(1e6);
+  consumer_->defer_head_publish(true);
+  std::vector<std::byte> got(4_KiB);
+  const std::uint64_t sweeps_after[] = {0, 1, 1};
+  for (int i = 0; i < 3; ++i) {
+    CellHeader out{};
+    ASSERT_TRUE(consumer_->try_dequeue(*consumer_acc_, out, got));
+    EXPECT_TRUE(consumer_->last_dequeue_intact());
+    EXPECT_EQ(counter("cxl.bulk_sweeps"), sweeps_after[i]) << "cell " << i;
+  }
+  consumer_->flush_head(*consumer_acc_);
+  EXPECT_EQ(counter("ring.payload_waves"), 1u);
+  obs::configure(obs::Config{});
+}
+
 TEST_F(SpscRingTest, NeverWrittenAndPreviousLapCellsDoNotValidate) {
   // The fixture's ring sits on never-written pool memory; three laps make
   // every slot hold a previous-lap cell before it is republished.
@@ -634,10 +759,7 @@ TEST_F(SpscRingTest, FullRingRefreshChargesOneWaveOnlyWhenTheHeadMoved) {
   // reused: both addresses are known, so the two 8-byte loads are one
   // wave, charged as one nt_load of 16 bytes. Later checks see room in
   // the refreshed view and charge nothing either.
-  obs::Config metrics_on;
-  metrics_on.metrics = true;
-  obs::configure(metrics_on);
-  obs::MetricsRegistry::instance().reset_for_test();
+  count_metrics();
   publish(kCells);
   producer_clock_.advance(1e6);  // past every stamp the consumer writes
   const simtime::Ns start = producer_clock_.now();
@@ -653,9 +775,7 @@ TEST_F(SpscRingTest, FullRingRefreshChargesOneWaveOnlyWhenTheHeadMoved) {
   }
   EXPECT_DOUBLE_EQ(producer_clock_.now() - start,
                    nt_load_cost(start, 2 * sizeof(std::uint64_t)));
-  EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().counter(
-                "ring.full_reloads"),
-            1u);
+  EXPECT_EQ(counter("ring.full_reloads"), 1u);
   obs::configure(obs::Config{});
 }
 

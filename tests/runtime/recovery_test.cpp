@@ -498,21 +498,24 @@ TEST(PayloadIntegrity, PersistentDamageExhaustsRetriesAndSurfaces) {
   EXPECT_EQ(stats.retransmit_rejects, 0u);
 }
 
-/// Sender A (rank 1) publishes `burst` one-cell messages before the
-/// receiver drains; poison sits on `line` of A's cell `poisoned`, one of
-/// the last Endpoint::kRetransmitStagingDepth (A still holds its staging
-/// copy). The receiver reads A's cells ahead of consuming them: a gathered
-/// peek reads up to SpscRing::kGatherCells at once, and a drain that reaps
-/// kReapBatchCells peeks A's next cells before it visits sender B
-/// (rank 2). The poison belongs to A's seq `poisoned` wherever it was read:
-/// exactly one NAK and one retransmission, both A's, and B's clean message
-/// goes through untouched.
+/// Sender A (rank 1) publishes `burst` one-cell messages of `bytes` bytes
+/// before the receiver drains; poison sits on `line` of A's cell
+/// `poisoned`, one of the last Endpoint::kRetransmitStagingDepth (A still
+/// holds its staging copy). The receiver reads A's cells ahead of
+/// consuming them: a gathered peek reads up to SpscRing::kGatherCells at
+/// once, and a drain that reaps kReapBatchCells peeks A's next cells
+/// before it visits sender B (rank 2). The poison belongs to A's seq
+/// `poisoned` wherever it was read: exactly one NAK and one intact
+/// retransmission, both A's, B's clean message goes through untouched,
+/// and the coherence checker records nothing.
 void expect_read_ahead_poison_charged_to_its_cell(int burst,
                                                   std::uint32_t poisoned,
-                                                  std::uint64_t line) {
+                                                  std::uint64_t line,
+                                                  std::size_t bytes) {
   // A sends `burst` messages; B sends one more.
   runtime::UniverseConfig cfg = recovery_config(3);
   cfg.ring_cells = 32;  // A's burst and its retransmission fit
+  cfg.coherence_check = runtime::CoherenceChecking::kEnabled;
   cfg.fault_plan.crash_at_sync.push_back(
       {.rank = 0, .point = "recovery-test-never", .occurrence = 1});
   runtime::Universe universe(cfg);
@@ -533,12 +536,12 @@ void expect_read_ahead_poison_charged_to_its_cell(int burst,
     ctx.barrier();
     std::vector<std::vector<std::byte>> sent(burst + 1);
     std::vector<std::vector<std::byte>> got(burst + 1,
-                                            std::vector<std::byte>(8));
+                                            std::vector<std::byte>(bytes));
     std::vector<p2p::RequestPtr> reqs;
     for (int k = 0; k <= burst; ++k) {
       const int from = k < burst ? 1 : 2;
       const auto i = static_cast<std::size_t>(k);
-      sent[i] = patterned(8, 100 + i);
+      sent[i] = patterned(bytes, 100 + i);
       if (ctx.rank() == from) {
         reqs.push_back(mpi.isend(0, k, sent[i]));
       } else if (ctx.rank() == 0) {
@@ -576,6 +579,7 @@ void expect_read_ahead_poison_charged_to_its_cell(int burst,
       std::byte token{0x1};
       check_ok(mpi.send(sender, 99, {&token, 1}));
     }
+    EXPECT_EQ(mpi.coherence_violations(), 0u);
   });
 
   const runtime::RecoveryStats stats = universe.recovery_stats();
@@ -591,24 +595,33 @@ constexpr std::uint32_t kPastReapBatch = p2p::Endpoint::kReapBatchCells;
 constexpr std::uint32_t kMidWave = 3;
 
 TEST(PayloadIntegrity, ReadAheadPoisonedHeaderIsChargedToItsOwnCell) {
-  expect_read_ahead_poison_charged_to_its_cell(20, kPastReapBatch, 0);
+  expect_read_ahead_poison_charged_to_its_cell(20, kPastReapBatch, 0, 8);
 }
 
 TEST(PayloadIntegrity, ReadAheadPoisonedPayloadLineIsChargedToItsOwnCell) {
-  expect_read_ahead_poison_charged_to_its_cell(20, kPastReapBatch,
-                                               sizeof(queue::CellHeader));
+  expect_read_ahead_poison_charged_to_its_cell(
+      20, kPastReapBatch, sizeof(queue::CellHeader), 8);
 }
 
 TEST(PayloadIntegrity, ReadAheadPoisonedHeaderMidWaveIsChargedToItsOwnCell) {
   expect_read_ahead_poison_charged_to_its_cell(
-      static_cast<int>(queue::SpscRing::kGatherCells), kMidWave, 0);
+      static_cast<int>(queue::SpscRing::kGatherCells), kMidWave, 0, 8);
 }
 
 TEST(PayloadIntegrity,
      ReadAheadPoisonedPayloadLineMidWaveIsChargedToItsOwnCell) {
   expect_read_ahead_poison_charged_to_its_cell(
       static_cast<int>(queue::SpscRing::kGatherCells), kMidWave,
-      sizeof(queue::CellHeader));
+      sizeof(queue::CellHeader), 8);
+}
+
+TEST(PayloadIntegrity,
+     PoisonedSecondPayloadLineOf512ByteCellIsChargedToItsOwnCell) {
+  // A 512 B chunk's second payload line is read by its own dequeue's
+  // wave, not by the gather: the wave raises the poison on that cell.
+  expect_read_ahead_poison_charged_to_its_cell(
+      static_cast<int>(queue::SpscRing::kGatherCells), kMidWave,
+      sizeof(queue::CellHeader) + kCacheLineSize, 512);
 }
 
 TEST(PayloadIntegrity, SecondPoisonedCellStaysWithItsMessage) {
