@@ -7,12 +7,17 @@
 // a virtually-late one just because the late rank's thread got scheduled
 // first — skew that compounds over a run. Instead the resource models
 // fluid capacity over fixed virtual-time slots: a transfer consumes
-// capacity starting at its own ready time, wherever free capacity exists,
-// independent of call order. Uncontended transfers complete at
-// ready + size/rate exactly; under contention aggregate throughput is
-// capped at the service rate (processor sharing, which also matches how
-// DRAM/NIC hardware interleaves concurrent streams better than strict
-// FCFS would).
+// capacity starting at its own ready time, wherever free capacity is left
+// when it is reserved. Which capacity is left still depends on call order:
+// a transfer reserved first takes capacity that a virtually-earlier one,
+// reserved later, would have used (ROADMAP item 2). One 2-pod x 8-rank
+// cross-pod round of 2 KiB PodFabric sends from idle clocks finishes at
+// 104.1 us with the pods' sends interleaved and at 110.5 us with pod 0's
+// first, where FCFS by ready time gives 91.9 us. Uncontended transfers
+// complete at ready + size/rate exactly; under contention aggregate
+// throughput is capped at the service rate (processor sharing, which also
+// matches how DRAM/NIC hardware interleaves concurrent streams better than
+// strict FCFS would).
 //
 // Weighted fair queueing (multi-tenant pools): callers may register
 // guaranteed capacity fractions per class (set_share) and attribute

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "common/units.hpp"
+#include "model/hier_allreduce_model.hpp"
 #include "osu/drivers.hpp"
 
 namespace cmpi::osu {
@@ -194,7 +195,9 @@ TEST_F(PerfSmoke, HierarchicalAllreduce) {
   // Multi-pool scale-out gate: allreduce at 32 ranks across 4 pods, flat
   // recursive doubling vs the three-phase hierarchical algorithm over the
   // same pod fabric. The fabric tier (LogGP + serial router forwarding)
-  // dominates both numbers, so they are stable enough for the +-10% gate.
+  // dominates both numbers. Hier repeats to 0.2%; flat does not: the
+  // routers place its cross-pod forwards in host order (ROADMAP item 2),
+  // which spreads it over 200.9–211.7 µs on a 4-core host.
   HierAllreduceParams p;
   p.pods = 4;
   p.ranks_per_pod = 8;
@@ -208,9 +211,12 @@ TEST_F(PerfSmoke, HierarchicalAllreduce) {
   const double flat = hier_allreduce_latency_us(p)[0];
   check("hier_allreduce_us_32r4p", hier);
   check("flat_allreduce_us_32r4p", flat);
-  // Acceptance floor independent of baseline drift: the hierarchy must
-  // keep a clear win over flat at this shape.
-  EXPECT_GE(flat, 1.3 * hier)
+  // Acceptance floor independent of baseline drift, from the closed form
+  // of this shape (model/hier_allreduce_model.hpp): hier <= 6m + R and
+  // flat >= 3m + F, so flat >= (3m + F) / (6m + R) x hier, 1.1308 x hier
+  // with the cluster's constants.
+  const model::HierAllreduceModel model;
+  EXPECT_GE(flat, model.flat_over_hier_floor() * hier)
       << "hierarchical allreduce " << hier << " us vs flat " << flat
       << " us — the pod-aware algorithm lost its edge";
 }
