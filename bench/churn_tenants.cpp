@@ -176,8 +176,8 @@ void run_epoch(runtime::TenantSession& session, int msgs,
         if (!r.is_ok()) {
           if (r.status().code() == ErrorCode::kPeerFailed) {
             ++crashes;
-            // Region-scoped recovery: reclaim the corpse's cells and
-            // slabs from THIS tenant's region.
+            // Region-scoped recovery: reclaim the corpse's cells from
+            // THIS tenant's region.
             (void)mpi.scavenge(1);
           }
           return;

@@ -120,12 +120,6 @@ inline std::vector<std::pair<std::string, double>> telemetry_digest() {
     out.emplace_back("cache_hit_rate", hits / (hits + misses));
   }
   out.emplace_back("retransmits", count("recovery.retransmits"));
-  const double slot_reuse = count("p2p.rdvz_slot_reuse");
-  const double slot_create = count("p2p.rdvz_slot_create");
-  if (slot_reuse + slot_create > 0) {
-    out.emplace_back("rendezvous_slot_reuse_rate",
-                     slot_reuse / (slot_reuse + slot_create));
-  }
   out.emplace_back("messages_sent", count("p2p.messages_sent"));
   out.emplace_back("rendezvous_sent", count("p2p.rendezvous_sent"));
   // Eager-vs-rendezvous split (message and byte volume per path), so a

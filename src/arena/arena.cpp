@@ -282,6 +282,7 @@ Arena::Probe Arena::probe(std::string_view name, std::uint64_t name_hash) {
       if (slot.name_hash == name_hash &&
           name == std::string_view(slot.name)) {
         result.found = slot_index;
+        result.found_slot = slot;
         return result;
       }
     } else if (!result.first_free.has_value()) {
@@ -413,6 +414,25 @@ Result<ObjectHandle> Arena::open(std::string_view name) {
   return make_handle(name, *where.found, slot);
 }
 
+Result<ObjectHandle> Arena::find(std::string_view name) {
+  if (name.empty() || name.size() > kMaxNameLen) {
+    return status::invalid_argument("bad object name");
+  }
+  // open's lock-free probe, with nothing to re-validate under the lock:
+  // the caller's object is never destroyed.
+  Probe where;
+  {
+    cxlsim::CoherenceChecker::ToleranceScope tolerate_optimistic_probe;
+    where = probe(name, hash_string(name));
+  }
+  if (!where.found.has_value()) {
+    return status::not_found("object '" + std::string(name) + "' not found");
+  }
+  ObjectHandle handle = make_handle(name, *where.found, where.found_slot);
+  handle.open = false;  // no reference taken: nothing to close
+  return handle;
+}
+
 Status Arena::close(ObjectHandle& handle) {
   if (!handle.open) {
     return status::closed("handle already closed");
@@ -433,24 +453,6 @@ Status Arena::destroy(ObjectHandle& handle) {
   }
   BakeryLock::Guard guard(lock_, *acc_, participant_);
   return destroy_locked(handle);
-}
-
-Status Arena::destroy_for(ObjectHandle& handle,
-                          std::chrono::milliseconds timeout,
-                          const BakeryLock::DeadPredicate& peer_dead,
-                          const std::function<void()>& beat) {
-  if (!handle.open) {
-    return status::closed("handle already closed");
-  }
-  if (Status locked = lock_.lock_for(*acc_, participant_, timeout,
-                                     peer_dead ? peer_dead : nobody_dead,
-                                     beat);
-      !locked.is_ok()) {
-    return locked;
-  }
-  Status out = destroy_locked(handle);
-  lock_.unlock(*acc_, participant_);
-  return out;
 }
 
 Status Arena::destroy_locked(ObjectHandle& handle) {
@@ -573,10 +575,6 @@ Arena::ScavengeStats Arena::scavenge_locked(
       continue;
     }
     const std::uint64_t alloc_size = align_up(slot.size, kCacheLineSize);
-    if (std::strncmp(slot.name, kRendezvousNamePrefix.data(),
-                     kRendezvousNamePrefix.size()) == 0) {
-      stats.rendezvous_slots += 1;
-    }
     slot.status = kSlotFree;
     slot.refcount = 0;
     write_slot(i, slot);

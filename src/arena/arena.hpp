@@ -58,13 +58,6 @@ struct ObjectHandle {
 ///             leaves it alone.
 enum class Ownership { kOwned, kShared };
 
-/// Name prefix of the p2p layer's rendezvous payload slots (large-message
-/// one-copy path; see p2p::Endpoint). The arena treats names as opaque
-/// except in scavenge_locked, which counts reclaimed slots carrying this
-/// prefix so pool recovery can report how many in-flight large-message
-/// payloads died with a rank.
-inline constexpr std::string_view kRendezvousNamePrefix = "cmpi.rdvz.";
-
 class Arena {
  public:
   struct Params {
@@ -115,10 +108,17 @@ class Arena {
   /// the hazard the real system has. Closes `handle` too.
   Status destroy(ObjectHandle& handle);
 
-  /// Deadline-bounded create/destroy for callers on a data path that must
-  /// not block forever behind a crashed lock holder (the p2p rendezvous
-  /// path allocates per-message slots). Waits at most `timeout` for the
-  /// arena lock and returns kTimedOut on expiry; `peer_dead`, when given,
+  /// Lock-free lookup that takes no reference: the handle is not open,
+  /// so there is nothing to close. Sound only for an object nobody
+  /// destroys, the kShared infrastructure (a p2p bulk ring, which its
+  /// producer finds again in a later run epoch and its consumer finds at
+  /// the first envelope).
+  Result<ObjectHandle> find(std::string_view name);
+
+  /// Deadline-bounded create for callers on a data path that must not
+  /// block forever behind a crashed lock holder (the p2p layer creates a
+  /// pair's bulk ring at its first large send). Waits at most `timeout` for
+  /// the arena lock and returns kTimedOut on expiry; `peer_dead`, when given,
   /// lets the wait break a convicted corpse's ticket instead of timing
   /// out, and `beat` runs on each blocked wait iteration so a caller
   /// queued behind live holders stays visibly alive (see
@@ -128,9 +128,6 @@ class Arena {
       std::chrono::milliseconds timeout,
       const BakeryLock::DeadPredicate& peer_dead = {},
       const std::function<void()>& beat = {});
-  Status destroy_for(ObjectHandle& handle, std::chrono::milliseconds timeout,
-                     const BakeryLock::DeadPredicate& peer_dead = {},
-                     const std::function<void()>& beat = {});
 
   // --- Introspection (tests, stats) ---
   [[nodiscard]] const MultilevelHash& index() const noexcept { return index_; }
@@ -157,9 +154,6 @@ class Arena {
   struct ScavengeStats {
     std::uint64_t bytes = 0;  ///< object bytes returned to the free list
     std::uint64_t slots = 0;  ///< metadata slots freed
-    /// Of `slots`, how many were in-flight rendezvous payload slots
-    /// (names starting with kRendezvousNamePrefix).
-    std::uint64_t rendezvous_slots = 0;
   };
 
   /// Reclaim every kOwned object created by `dead_participant` under an
@@ -267,6 +261,7 @@ class Arena {
   /// Probe result for a name.
   struct Probe {
     std::optional<std::size_t> found;       // slot with matching used name
+    Slot found_slot{};                      // its contents, as read
     std::optional<std::size_t> first_free;  // first free slot on the path
   };
   Probe probe(std::string_view name, std::uint64_t name_hash);

@@ -194,8 +194,9 @@ class Session {
     /// Pool-global half (arena slots, arena-lock ticket, barrier slot,
     /// recovery ledger) — exactly-once across survivors.
     runtime::PoolRecovery::ScavengeReport pool;
-    /// Endpoint-local half (this rank's inbound ring from the corpse,
-    /// abandoned assemblies, doomed requests) — every survivor's own.
+    /// Endpoint-local half (this rank's inbound small and bulk rings from
+    /// the corpse, abandoned assemblies, doomed requests) — every
+    /// survivor's own.
     p2p::Endpoint::PeerScavengeReport endpoint;
   };
 

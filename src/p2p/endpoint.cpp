@@ -4,9 +4,9 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <string>
 
+#include "arena/arena.hpp"
 #include "common/crc32c.hpp"
 #include "common/log.hpp"
 #include "cxlsim/fault_injector.hpp"
@@ -50,8 +50,8 @@ Endpoint::Endpoint(runtime::RankCtx& ctx, queue::QueueMatrix matrix)
       send_seq_(static_cast<std::size_t>(ctx.nranks()), 0),
       staged_copies_(static_cast<std::size_t>(ctx.nranks())),
       staged_bytes_(static_cast<std::size_t>(ctx.nranks()), 0),
-      rdvz_inflight_(static_cast<std::size_t>(ctx.nranks())),
-      rdvz_slot_cache_(static_cast<std::size_t>(ctx.nranks())),
+      bulk_out_(static_cast<std::size_t>(ctx.nranks())),
+      bulk_in_(static_cast<std::size_t>(ctx.nranks())),
       rendezvous_threshold_(rendezvous_threshold_for(
           ctx.config().rendezvous_threshold, matrix_.cell_payload())),
       publish_dirty_(static_cast<std::size_t>(ctx.nranks()), 0),
@@ -99,9 +99,6 @@ constexpr std::uint32_t kSsendAckRange = 1u << 20;
 /// 4-byte payload: the msg_seq of the message they speak about.
 constexpr int kNakTag = kSsendAckBase + static_cast<int>(kSsendAckRange);
 constexpr int kRejectTag = kNakTag + 1;
-/// Rendezvous FIN: the receiver finished pulling message msg_seq (4-byte
-/// payload) from the sender's slab; the sender may recycle the slot.
-constexpr int kRdvzFinTag = kRejectTag + 1;
 
 int ssend_ack_tag(std::uint32_t counter) {
   return kSsendAckBase + static_cast<int>(counter % kSsendAckRange);
@@ -109,24 +106,30 @@ int ssend_ack_tag(std::uint32_t counter) {
 
 bool is_internal_tag(int tag) { return tag >= kSsendAckBase; }
 
-/// On-ring payload of one rendezvous RTS cell: where in the pool one
-/// segment of the message lives. The cell header still carries the real
-/// message envelope (tag, total_bytes, msg_seq) for matching/probing.
-struct RdvzDescriptor {
-  std::uint64_t slot_offset = 0;  ///< absolute pool offset of the slab
-  std::uint64_t seg_offset = 0;   ///< segment's offset within the message
-  std::uint64_t total_bytes = 0;  ///< message size (header cross-check)
-  std::uint32_t seg_bytes = 0;
-  std::uint32_t seg_crc = 0;      ///< CRC32C of the segment in the slab
-};
-static_assert(sizeof(RdvzDescriptor) == 32);
+/// The verdict on a payload whose CRC failed for good: an eager message
+/// after its retransmissions, a large one at once (the sender keeps no
+/// copy of it to retransmit).
+Status corrupt_payload(int src, bool large) {
+  return status::data_poisoned(
+      "payload from rank " + std::to_string(src) +
+      (large ? " failed its CRC; large messages keep no retransmit copy"
+             : " still corrupt after " +
+                   std::to_string(Endpoint::kMaxRetransmits) +
+                   " retransmissions"));
+}
 
-/// Deadline for arena-lock acquisition on the rendezvous data path: long
-/// enough to never fire behind live contention, short enough that a lock
-/// wedged under a corpse degrades the send to eager instead of hanging it.
+/// Arena object of `src`'s bulk ring toward `dst`.
+std::string bulk_ring_name(int src, int dst) {
+  return "cmpi.bulk." + std::to_string(src) + "." + std::to_string(dst);
+}
+
+/// Deadline for arena-lock acquisition on the large-message data path
+/// (the bulk ring's create): long enough to never fire behind live
+/// contention, short enough that a lock wedged under a corpse degrades
+/// the send to eager instead of hanging it.
 constexpr std::chrono::milliseconds kRdvzLockTimeout{100};
 
-/// The rendezvous path's arena-lock verdict: a participant the fault
+/// The bulk-ring create's arena-lock verdict: a participant the fault
 /// injector has killed is dead, so its ticket may be broken.
 arena::BakeryLock::DeadPredicate injector_convicts(
     const cxlsim::FaultInjector* injector) {
@@ -136,17 +139,19 @@ arena::BakeryLock::DeadPredicate injector_convicts(
   };
 }
 
-/// Bounded sub-chunk for slab bulk transfers. One monolithic multi-MiB op
-/// would saturate the memory-hierarchy contention penalty (the very
-/// collapse Fig. 5 shows for naive one-sided bulk ops), while tiny ops
-/// drown in per-op flush setup. The cell payload is the granularity §4.3
-/// already tuned for exactly this copy-size trade-off, so slab transfers
-/// move at the same stride the eager path would have used — floored at
-/// the contention threshold so a small-cell configuration doesn't drag
-/// the large-message path down with it.
+/// Bounded piece for bulk-cell copies (SpscRing::attach's `piece`). One
+/// monolithic 128 KiB op would sit in the memory-hierarchy contention
+/// penalty (the very collapse Fig. 5 shows for naive one-sided bulk ops),
+/// while tiny ops drown in per-op flush setup. The cell payload is the
+/// granularity §4.3 already tuned for exactly this copy-size trade-off,
+/// so bulk cells move at the same stride the eager path would have used —
+/// floored at the contention threshold so a small-cell configuration
+/// doesn't drag the large-message path down with it. Small-ring cells
+/// never exceed one piece.
 std::size_t rdvz_bulk_chunk(std::size_t cell_payload,
-                            const cxlsim::CxlTimingParams& params) {
-  return std::max<std::size_t>(cell_payload, params.contention_threshold);
+                            cxlsim::Accessor& acc) {
+  return std::max<std::size_t>(
+      cell_payload, acc.device().timing().params().contention_threshold);
 }
 }  // namespace
 
@@ -201,43 +206,6 @@ Endpoint::~Endpoint() {
         break;
       }
       ctx_->doorbell().wait_past(armed);
-    }
-    // Best-effort FIN collection: receivers FIN the moment a rendezvous
-    // message is delivered, so a FIN for a still-inflight slot is usually
-    // already sitting in our inbound ring. One non-blocking drain pass
-    // recycles those slots into the cache. Slots whose FIN never arrived
-    // stay allocated on purpose — a live peer may still pull them; pool
-    // scavenge reclaims them if we die, pool teardown otherwise.
-    for (int src = 0; src < nranks(); ++src) {
-      if (src == rank() ||
-          rdvz_inflight_[static_cast<std::size_t>(src)].empty() ||
-          (injector != nullptr && injector->rank_crashed(src))) {
-        continue;
-      }
-      drain_source(src, std::numeric_limits<std::size_t>::max());
-    }
-    // A crashed receiver will never FIN: its inflight slots are ours to
-    // destroy (its own pool state is the scavenger's job, these slabs are
-    // ours).
-    if (injector != nullptr) {
-      for (int dst = 0; dst < nranks(); ++dst) {
-        if (!injector->rank_crashed(dst)) {
-          continue;
-        }
-        auto& inflight = rdvz_inflight_[static_cast<std::size_t>(dst)];
-        for (RdvzInflight& entry : inflight) {
-          destroy_rdvz_slot(std::move(entry.slot));
-        }
-        inflight.clear();
-      }
-    }
-    // Cached (FINished) slots are idle and ours: destroy them so repeated
-    // sessions over one pool do not bleed arena space.
-    for (auto& cache : rdvz_slot_cache_) {
-      for (arena::ObjectHandle& slot : cache) {
-        destroy_rdvz_slot(std::move(slot));
-      }
-      cache.clear();
     }
   } catch (...) {
     // Best-effort: a fault-plan crash firing inside the flush (the
@@ -320,13 +288,13 @@ void Endpoint::push_sends(int dst) {
       const RdvzPush outcome = push_rendezvous(dst, ring, req);
       if (outcome == RdvzPush::kBlocked) {
         publish_now(dst, ring);
-        return;  // ring/slot budget full; resume in a later progress()
+        return;  // a ring is full; resume in a later progress()
       }
       if (outcome == RdvzPush::kFallback) {
         continue;  // re-enter this same request through the eager path
       }
-      // Staged: the payload lives in the slab until the receiver's FIN;
-      // the caller's buffer is no longer referenced.
+      // Staged: every segment sits in a published bulk cell; the caller's
+      // buffer is no longer referenced.
       req.send_data = {};
     } else {
       prepare_eager_staging(req);
@@ -446,223 +414,142 @@ void Endpoint::flush_publishes() {
 
 Endpoint::RdvzPush Endpoint::push_rendezvous(int dst, queue::SpscRing& ring,
                                              Request& req) {
-  const std::size_t total = req.send_data.size();
-  auto& inflight = rdvz_inflight_[static_cast<std::size_t>(dst)];
-  if (!req.rdvz_slot.has_value()) {
-    if (inflight.size() >= kMaxRendezvousInflight) {
-      return RdvzPush::kBlocked;  // wait for the receiver's FINs
-    }
-    Result<arena::ObjectHandle> slot = acquire_rdvz_slot(dst, total);
-    if (!slot.is_ok()) {
-      // Pool pressure, or the arena lock is wedged behind a corpse:
-      // deliver through the eager path instead of failing the send.
-      req.rendezvous = false;
-      ++stats_->rendezvous_fallbacks;
-      return RdvzPush::kFallback;
-    }
-    req.rdvz_slot = std::move(slot).value();
+  queue::SpscRing* bulk = bulk_ring_to(dst);
+  if (bulk == nullptr) {
+    // Pool pressure, or the arena lock is wedged behind a corpse: deliver
+    // through the eager path instead of failing the send.
+    req.rendezvous = false;
+    ++stats_->rendezvous_fallbacks;
+    return RdvzPush::kFallback;
   }
   cxlsim::Accessor& acc = ctx_->acc();
-  const std::uint64_t slab = req.rdvz_slot->pool_offset;
-  const std::size_t piece_max =
-      rdvz_bulk_chunk(matrix_.cell_payload(), acc.device().timing().params());
+  const std::size_t total = req.send_data.size();
+  const std::size_t piece = rdvz_bulk_chunk(matrix_.cell_payload(), acc);
   // Segment quantum: small enough that even a just-over-threshold message
-  // pipelines a few segments deep against the receiver (single-segment
-  // delivery would serialize writer and reader and lose the eager path's
-  // per-cell overlap), large enough that the per-segment RTS/fence cost
-  // stays amortized on multi-MiB messages. Only the sender chooses — the
-  // receiver follows whatever bounds each RTS descriptor carries. The cap
-  // is kRendezvousSegmentBytes, floored at piece_max so it always covers
-  // one bulk piece. A pure function of the message size, so every resumed
-  // announcement attempt cuts the same segments the staged CRC was
-  // computed over.
+  // pipelines a few cells deep against the receiver (one cell would
+  // serialize writer and reader and lose the eager path's per-cell
+  // overlap), large enough that the per-cell publish stays amortized on
+  // multi-MiB messages. The cap is kRendezvousSegmentBytes, floored at
+  // `piece` so it always covers one bulk piece. Only the sender chooses;
+  // the receiver follows each bulk cell's header.
   const std::size_t seg_quantum =
-      std::clamp((total / 8 + piece_max - 1) / piece_max * piece_max,
-                 piece_max, std::max(piece_max, kRendezvousSegmentBytes));
-  bool enqueued_any = false;
+      std::clamp((total / 8 + piece - 1) / piece * piece, piece,
+                 std::max(piece, kRendezvousSegmentBytes));
+  bool published = false;
   while (req.bytes_pushed < total) {
-    const std::size_t seg_begin = req.bytes_pushed;
-    const std::size_t seg = std::min(seg_quantum, total - seg_begin);
-    const bool written_now = req.rdvz_written <= seg_begin;
-    if (written_now) {
-      // Write the segment into the slab in bounded sub-chunks, folding
-      // the CRC in as the bytes stream past (host-side, charge-free). The
-      // segment's RTS publish fences all of its pieces at once, so they
-      // share one flush sweep: only the first piece pays its setup.
-      std::uint32_t crc = 0;
-      for (std::size_t off = 0; off < seg; off += piece_max) {
-        const std::size_t piece = std::min(piece_max, seg - off);
-        const auto piece_span = req.send_data.subspan(seg_begin + off, piece);
-        acc.bulk_write(slab + seg_begin + off, piece_span,
-                       off == 0 ? cxlsim::Accessor::BulkCharge::kFull
-                                : cxlsim::Accessor::BulkCharge::kBatched);
-        crc = crc32c(piece_span, crc);
-      }
-      req.rdvz_seg_crc = crc;
-      req.rdvz_written = seg_begin + seg;
-      // Scripted kill location: slab writes issued but the RTS never
-      // published — the receiver never learns of this segment and the
-      // slot is reclaimed by pool scavenge.
-      acc.fault_sync_point("p2p-rdvz-slab-written");
+    // The first segment's pass also stages the envelope, so it needs a
+    // small-ring cell as well.
+    const bool first = req.bytes_pushed == 0;
+    if (!bulk->can_enqueue(acc) || (first && !ring.can_enqueue(acc))) {
+      break;
     }
-    if (!ring.can_enqueue(acc)) {
-      break;  // the written segment is announced on a later attempt
-    }
-    RdvzDescriptor desc;
-    desc.slot_offset = slab;
-    desc.seg_offset = seg_begin;
-    desc.total_bytes = total;
-    desc.seg_bytes = static_cast<std::uint32_t>(seg);
-    desc.seg_crc = req.rdvz_seg_crc;
-    const bool last = seg_begin + seg == total;
+    const std::size_t seg = std::min(seg_quantum, total - req.bytes_pushed);
     queue::CellHeader header{};
     header.src_rank = static_cast<std::uint32_t>(rank());
     header.src_incarnation = ctx_->incarnation();
     header.tag = static_cast<std::uint32_t>(req.tag);
     header.msg_seq = req.seq;
     header.total_bytes = total;
-    header.chunk_offset = seg_begin;
-    header.chunk_bytes = static_cast<std::uint32_t>(sizeof(desc));
-    header.flags = queue::kRendezvous | (last ? queue::kLastChunk : 0u) |
-                   (req.synchronous ? queue::kSyncSend : 0u);
-    // The RTS publish covers the slab segment too: try_enqueue's sfence
-    // drains the pending slab writes before the RTS header is stored, so
-    // the receiver's slab reads causally follow a durable segment. One
-    // fence, one sweep: a descriptor written in the same pass as its
-    // segment shares the segment's sweep. One announced on a later attempt
-    // pays its own, since a fence may have intervened.
-    acc.annotate_publish_range(slab + seg_begin, seg);
-    const bool enqueued = ring.try_enqueue(
-        acc, header,
-        {reinterpret_cast<const std::byte*>(&desc), sizeof(desc)},
-        written_now ? cxlsim::Accessor::BulkCharge::kBatched
-                    : cxlsim::Accessor::BulkCharge::kFull);
-    CMPI_ASSERT(enqueued);  // can_enqueue held above
-    CMPI_OBS_COUNT("p2p.rdvz_rts", 1);
-    CMPI_OBS_COUNT("p2p.rdvz_rts_late", written_now ? 0 : 1);
-    ++stats_->publish_batches;  // RTS cells publish per-cell by design:
-    ++stats_->cells_published;  // segment pipelining needs each durable now
-    enqueued_any = true;
-    req.bytes_pushed = seg_begin + seg;
-    // Scripted kill location: the RTS is durable — the receiver can pull
-    // this segment from the slab even if the sender dies now.
+    header.chunk_offset = req.bytes_pushed;
+    header.chunk_bytes = static_cast<std::uint32_t>(seg);
+    header.flags = req.bytes_pushed + seg == total ? queue::kLastChunk : 0u;
+    bool staged = bulk->try_stage(
+        acc, header, req.send_data.subspan(req.bytes_pushed, seg));
+    if (first) {
+      // The envelope: the message header alone. The receiver finds the
+      // bulk ring by name, so the envelope carries no payload.
+      queue::CellHeader envelope = header;
+      envelope.chunk_offset = 0;
+      envelope.chunk_bytes = 0;
+      envelope.flags =
+          queue::kRendezvous | (req.synchronous ? queue::kSyncSend : 0u);
+      staged = staged && ring.try_stage(acc, envelope, {});
+    }
+    CMPI_ASSERT(staged);  // can_enqueue held above
+    // The bulk cell first, so a receiver that sees the envelope finds it.
+    bulk->publish_staged(acc);
+    ++stats_->publish_batches;  // bulk cells publish one by one: the
+    ++stats_->cells_published;  // receiver reads cell k while we write k+1
+    if (first) {
+      publish_now(dst, ring);
+    }
+    req.bytes_pushed += seg;
+    published = true;
+    // Scripted kill location: this bulk cell, and the envelope with the
+    // first, are durable; the receiver reads what was published.
     acc.fault_sync_point("p2p-rdvz-rts");
   }
-  if (enqueued_any) {
+  if (published) {
     ctx_->doorbell().ring();
   }
   if (req.bytes_pushed < total) {
-    return RdvzPush::kBlocked;  // ring full mid-announcement
+    return RdvzPush::kBlocked;  // a ring is full mid-message
   }
   req.staged = true;
-  CMPI_OBS_INSTANT_ARG("p2p.rdvz_rts_complete", "seq", req.seq);
-  inflight.push_back(RdvzInflight{req.seq, std::move(*req.rdvz_slot),
-                                  ctx_->clock().now()});
-  req.rdvz_slot.reset();
   ++stats_->rendezvous_sent;
   stats_->rendezvous_bytes += total;
   return RdvzPush::kStaged;
 }
 
-Result<arena::ObjectHandle> Endpoint::acquire_rdvz_slot(int dst,
-                                                        std::uint64_t bytes) {
-  auto& cache = rdvz_slot_cache_[static_cast<std::size_t>(dst)];
-  for (auto it = cache.begin(); it != cache.end(); ++it) {
-    if (it->size >= bytes) {
-      arena::ObjectHandle slot = std::move(*it);
-      cache.erase(it);
-      CMPI_OBS_COUNT("p2p.rdvz_slot_reuse", 1);
-      return slot;
-    }
+queue::SpscRing* Endpoint::bulk_ring_to(int dst) {
+  std::optional<queue::SpscRing>& view =
+      bulk_out_[static_cast<std::size_t>(dst)];
+  if (view.has_value()) {
+    return &*view;
   }
-  CMPI_OBS_COUNT("p2p.rdvz_slot_create", 1);
-  // Unique name per allocation: recycled slots keep their original name,
-  // so the counter never collides even across reuse.
-  const std::string name = std::string(arena::kRendezvousNamePrefix) +
-                           std::to_string(rank()) + "." +
-                           std::to_string(dst) + "." +
-                           std::to_string(rdvz_name_counter_++);
-  // Beat while queued behind other ranks' slab creates and destroys: the
-  // wait can outlast a lease, and a peer waiting on this rank's message
-  // convicts a silent heartbeat.
-  return ctx_->arena().create_for(
-      name, bytes, arena::Ownership::kOwned, kRdvzLockTimeout,
-      injector_convicts(ctx_->device().fault_injector()),
-      [this] { ctx_->failure_detector().beat(ctx_->acc()); });
-}
-
-void Endpoint::destroy_rdvz_slot(arena::ObjectHandle slot) {
-  const Status destroyed = ctx_->arena().destroy_for(
-      slot, kRdvzLockTimeout,
-      injector_convicts(ctx_->device().fault_injector()),
-      [this] { ctx_->failure_detector().beat(ctx_->acc()); });
-  if (!destroyed.is_ok() && destroyed.code() != ErrorCode::kNotFound) {
-    // Deliberate leak on a wedged arena lock: scavenging whoever holds it
-    // unblocks future destroys, and the slab is reclaimed with us if we
-    // die, or at pool teardown.
-    log_warn("rendezvous slot '%s' not destroyed: %s", slot.name.c_str(),
-             destroyed.message().c_str());
-  }
-}
-
-void Endpoint::release_rdvz_slot(int dst, arena::ObjectHandle slot) {
-  auto& cache = rdvz_slot_cache_[static_cast<std::size_t>(dst)];
-  cache.push_back(std::move(slot));
-  while (cache.size() > kRendezvousSlotCacheDepth) {
-    arena::ObjectHandle victim = std::move(cache.front());
-    cache.pop_front();
-    destroy_rdvz_slot(std::move(victim));
-  }
-}
-
-void Endpoint::pull_rendezvous_segment(std::uint64_t seg_pool_offset,
-                                       std::size_t msg_offset,
-                                       std::size_t seg_bytes,
-                                       std::uint32_t seg_crc,
-                                       std::span<std::byte> buffer,
-                                       bool& corrupt, bool& truncated) {
   cxlsim::Accessor& acc = ctx_->acc();
-  if (msg_offset + seg_bytes > buffer.size()) {
-    truncated = true;
+  const std::size_t piece = rdvz_bulk_chunk(matrix_.cell_payload(), acc);
+  const std::string name = bulk_ring_name(rank(), dst);
+  // Find before create: in a later run epoch, or after a respawn, the ring
+  // exists and the view resumes from its published state, as the small
+  // rings' views do. Only the create takes the arena lock.
+  Result<arena::ObjectHandle> object = ctx_->arena().find(name);
+  if (!object.is_ok()) {
+    const std::size_t cells = ctx_->config().ring_cells;
+    const std::size_t cell_payload = std::max(kRendezvousSegmentBytes, piece);
+    // Beat while queued behind other ranks' arena creates: the wait can
+    // outlast a lease, and a peer waiting on this rank's message convicts
+    // a silent heartbeat. Shared: the ring outlives any one incarnation.
+    object = ctx_->arena().create_for(
+        name, queue::SpscRing::footprint(cells, cell_payload),
+        arena::Ownership::kShared, kRdvzLockTimeout,
+        injector_convicts(ctx_->device().fault_injector()),
+        [this] { ctx_->failure_detector().beat(ctx_->acc()); });
+    if (!object.is_ok()) {
+      return nullptr;
+    }
+    queue::SpscRing::format(acc, object.value().pool_offset, cells,
+                            cell_payload);
   }
-  const std::size_t piece_max =
-      rdvz_bulk_chunk(matrix_.cell_payload(), acc.device().timing().params());
-  // The slab stays live until we FIN, so a CRC mismatch here is repaired
-  // by re-reading in place — the rendezvous analogue of the eager path's
-  // NAK/retransmit loop, with the same attempt budget. Each attempt issues
-  // one invalidate sweep over the whole segment, so only its first piece
-  // pays the sweep's setup; a re-read pays its own.
-  for (std::size_t attempt = 0; attempt <= kMaxRetransmits; ++attempt) {
-    std::uint32_t crc = 0;
-    for (std::size_t off = 0; off < seg_bytes; off += piece_max) {
-      const std::size_t piece = std::min(piece_max, seg_bytes - off);
-      const std::size_t at = msg_offset + off;
-      const bool fits = at + piece <= buffer.size();
-      std::span<std::byte> dst;
-      if (fits) {
-        dst = buffer.subspan(at, piece);
-      } else {
-        // Truncation: consume through scratch, keep the bytes that fit.
-        scratch_.resize(piece);
-        dst = std::span<std::byte>(scratch_).subspan(0, piece);
-      }
-      acc.bulk_read(seg_pool_offset + off, dst,
-                    off == 0 ? cxlsim::Accessor::BulkCharge::kFull
-                             : cxlsim::Accessor::BulkCharge::kBatched);
-      crc = crc32c(dst, crc);
-      if (!fits && at < buffer.size()) {
-        std::memcpy(buffer.data() + at, dst.data(), buffer.size() - at);
-      }
-    }
-    if (crc == seg_crc) {
-      return;
-    }
-    ctx_->recovery_counters().crc_failures.fetch_add(1);
-    if (acc.poison_pending()) {
-      break;  // media poison is sticky; re-reading cannot clear it
-    }
+  Result<queue::SpscRing> attached =
+      queue::SpscRing::attach(acc, object.value().pool_offset, piece);
+  if (!attached.is_ok()) {
+    return nullptr;
   }
-  corrupt = true;
+  view.emplace(std::move(attached).value());
+  return &*view;
+}
+
+Result<queue::SpscRing*> Endpoint::bulk_ring_from(int src) {
+  std::optional<queue::SpscRing>& view =
+      bulk_in_[static_cast<std::size_t>(src)];
+  if (view.has_value()) {
+    return &*view;
+  }
+  const Result<arena::ObjectHandle> object =
+      ctx_->arena().find(bulk_ring_name(src, rank()));
+  if (!object.is_ok()) {
+    return object.status();
+  }
+  cxlsim::Accessor& acc = ctx_->acc();
+  Result<queue::SpscRing> attached =
+      queue::SpscRing::attach(acc, object.value().pool_offset,
+                              rdvz_bulk_chunk(matrix_.cell_payload(), acc));
+  if (!attached.is_ok()) {
+    return attached.status();
+  }
+  view.emplace(std::move(attached).value());
+  return &*view;
 }
 
 void Endpoint::send_ssend_ack(int src, std::uint32_t counter) {
@@ -768,23 +655,6 @@ void Endpoint::handle_control(int src, int tag,
   }
   std::uint32_t seq = 0;
   std::memcpy(&seq, payload.data(), sizeof(seq));
-  if (tag == kRdvzFinTag) {
-    // The receiver finished pulling rendezvous message `seq`: its slab is
-    // ours again. An unknown seq is benign (the slot was already destroyed
-    // by scavenge_peer or teardown).
-    auto& inflight = rdvz_inflight_[static_cast<std::size_t>(src)];
-    const auto it =
-        std::find_if(inflight.begin(), inflight.end(),
-                     [&](const RdvzInflight& e) { return e.seq == seq; });
-    if (it != inflight.end()) {
-      CMPI_OBS_INSTANT_ARG("p2p.rdvz_fin", "seq", seq);
-      CMPI_OBS_HIST("p2p.rdvz_rts_to_fin_ns",
-                    ctx_->clock().now() - it->staged_ns);
-      release_rdvz_slot(src, std::move(it->slot));
-      inflight.erase(it);
-    }
-    return;
-  }
   if (tag == kNakTag) {
     // The receiver saw a corrupt payload for our message `seq`.
     auto& staged = staged_copies_[static_cast<std::size_t>(src)];
@@ -931,45 +801,6 @@ bool Endpoint::match_unexpected(Request& request) {
   UnexpectedMsg& msg = *found;
   // The rank consumes the message now, so its cells' time lands now.
   ctx_->clock().observe(msg.ready);
-  if (msg.rendezvous) {
-    // Deferred one-copy delivery: the payload waited in the sender's
-    // slab; pull it pool→user now that the destination is known, then
-    // FIN so the sender can recycle the slot.
-    Status delivery = Status::ok();
-    bool corrupt = false;
-    bool truncated = false;
-    if (msg.data_error.is_ok()) {
-      for (const RdvzSegment& seg : msg.rdvz_segs) {
-        pull_rendezvous_segment(
-            seg.pool_offset,
-            static_cast<std::size_t>(seg.pool_offset -
-                                     msg.rdvz_slot_offset),
-            seg.bytes, seg.crc, request.recv_buffer, corrupt, truncated);
-      }
-      if (ctx_->acc().poison_pending()) {
-        delivery = ctx_->acc().take_poison_status(
-            "recv payload from rank " + std::to_string(msg.source));
-      } else if (corrupt) {
-        delivery = status::data_poisoned(
-            "payload from rank " + std::to_string(msg.source) +
-            " still corrupt after " + std::to_string(kMaxRetransmits) +
-            " re-reads");
-      } else if (truncated || msg.total > request.recv_buffer.size()) {
-        delivery = status::truncated("message larger than recv buffer");
-      }
-    } else {
-      delivery = msg.data_error;
-    }
-    complete_recv(request, msg.source, msg.tag,
-                  std::min(msg.total, request.recv_buffer.size()),
-                  std::move(delivery));
-    if (msg.synchronous) {
-      send_ssend_ack(msg.source, msg.ssend_counter);
-    }
-    send_control(msg.source, kRdvzFinTag, msg.rdvz_seq);
-    unexpected_.remove(found.get());
-    return true;
-  }
   const std::size_t copy = std::min(msg.total, request.recv_buffer.size());
   // One extra host copy — the cost of an unexpected arrival, same as in
   // MPICH. The CXL-side copy was already charged when the chunk was
@@ -1011,21 +842,59 @@ void Endpoint::complete_recv(Request& request, int src, int tag,
 }
 
 bool Endpoint::drain_source(int src, std::size_t max_cells) {
-  queue::SpscRing& ring = matrix_.ring(ctx_->acc(), rank(), src);
+  cxlsim::Accessor& acc = ctx_->acc();
+  queue::SpscRing& ring = matrix_.ring(acc, rank(), src);
+  std::optional<queue::SpscRing>& bulk =
+      bulk_in_[static_cast<std::size_t>(src)];
   Assembly& assembly = assembly_[static_cast<std::size_t>(src)];
   // Batched reaping: the head publish (and with it the invalidate-sweep
   // setup the consumer pays per published head) is deferred across the
-  // whole batch and flushed once at every exit below.
+  // whole batch, on both rings, and flushed once at every exit below.
   ring.defer_head_publish(true);
+  if (bulk.has_value()) {
+    bulk->defer_head_publish(true);
+  }
   std::size_t reaped = 0;
   while (reaped < max_cells) {
+    // A large message's body follows its envelope on the bulk ring; the
+    // small ring is not read past the envelope until the body's last cell,
+    // so the pair's FIFO order holds across the two rings.
+    queue::SpscRing& from = assembly.rendezvous ? *bulk : ring;
     const simtime::Ns peek_start = ctx_->clock().now();
-    const std::optional<queue::CellHeader> header = ring.peek(ctx_->acc());
+    const std::optional<queue::CellHeader> header = from.peek(acc);
+    const bool other_message =
+        assembly.rendezvous && header.has_value() &&
+        (header->src_incarnation != assembly.src_incarnation ||
+         header->msg_seq != assembly.seq);
+    if (assembly.rendezvous && assembly.fenced &&
+        (!header.has_value() ||
+         (other_message &&
+          header->src_incarnation == ctx_->incarnation(src)))) {
+      // A dead incarnation's body ends where what it published ends (it
+      // died before this run epoch began): at an empty bulk ring, or at
+      // the live incarnation's first cell. The rest never comes.
+      assembly = Assembly{};
+      continue;
+    }
     if (!header.has_value()) {
       break;
     }
     const int tag = static_cast<int>(header->tag);
-    if (assembly.active &&
+    queue::CellHeader consumed{};
+    if (other_message) {
+      // A bulk cell of a dead incarnation that no envelope leads to: it
+      // died between a bulk cell's publish and its envelope's, or an
+      // earlier run epoch's receiver left mid-body. Consume and discard
+      // it, its poison with it.
+      scratch_.resize(header->chunk_bytes);
+      from.try_dequeue(acc, consumed, scratch_);
+      if (acc.poison_pending()) {
+        (void)acc.take_poison_status("stale bulk cell");
+      }
+      ++reaped;
+      continue;
+    }
+    if (!assembly.rendezvous && assembly.active &&
         header->src_incarnation != assembly.src_incarnation) {
       // The producer died mid-message and its next incarnation is already
       // publishing into the same ring: the stale assembly's remaining
@@ -1061,16 +930,15 @@ bool Endpoint::drain_source(int src, std::size_t max_cells) {
       assembly.unexpected = nullptr;
       assembly.data_error = Status::ok();
       assembly.synchronous = (header->flags & queue::kSyncSend) != 0;
-      assembly.rendezvous = (header->flags & queue::kRendezvous) != 0;
       if (header->src_incarnation != ctx_->incarnation(src)) {
         // Incarnation fence: this message was published by a previous
         // (dead) life of `src`. Consume and discard it whole — stale
         // writes must not leak into the new epoch's traffic.
         assembly.fenced = true;
         ctx_->recovery_counters().stale_fenced.fetch_add(1);
-      } else if (tag == kNakTag || tag == kRejectTag || tag == kRdvzFinTag) {
-        // Retransmission/rendezvous control traffic: consumed, acted on,
-        // never delivered to matching.
+      } else if (tag == kNakTag || tag == kRejectTag) {
+        // Retransmission control traffic: consumed, acted on, never
+        // delivered to matching.
         assembly.control = true;
         assembly.control_data.assign(header->total_bytes, std::byte{0});
       } else if ((header->flags & queue::kRetransmit) != 0) {
@@ -1100,14 +968,7 @@ bool Endpoint::drain_source(int src, std::size_t max_cells) {
           msg->source = src;
           msg->tag = tag;
           msg->total = header->total_bytes;
-          if (assembly.rendezvous) {
-            // Deferred pull: the payload stays parked in the sender's slab
-            // until a receive matches — the one copy happens pool→user.
-            msg->rendezvous = true;
-            msg->rdvz_seq = header->msg_seq;
-          } else {
-            msg->data.resize(header->total_bytes);
-          }
+          msg->data.resize(header->total_bytes);
           msg->synchronous = assembly.synchronous;
           msg->ssend_counter = assembly.ssend_counter;
           assembly.unexpected = msg;
@@ -1115,63 +976,30 @@ bool Endpoint::drain_source(int src, std::size_t max_cells) {
         }
       }
     }
+    const bool envelope = !assembly.rendezvous &&
+                          (header->flags & queue::kRendezvous) != 0;
 
     // Deliver this chunk.
-    queue::CellHeader consumed{};
     const simtime::Ns dequeue_start = ctx_->clock().now();
-    if (assembly.control) {
-      ring.try_dequeue(ctx_->acc(), consumed,
+    if (envelope) {
+      // The message header alone: the body follows on the bulk ring.
+      from.try_dequeue(acc, consumed, {},
+                       /*absorb_stamp=*/assembly.unexpected == nullptr);
+    } else if (assembly.control) {
+      from.try_dequeue(acc, consumed,
                        std::span<std::byte>(assembly.control_data)
                            .subspan(header->chunk_offset,
                                     header->chunk_bytes));
-    } else if (assembly.rendezvous) {
-      // The cell is an RTS descriptor, not payload: decode it, then pull
-      // the announced segment straight from the sender's slab.
-      RdvzDescriptor desc{};
-      scratch_.resize(
-          std::max<std::size_t>(header->chunk_bytes, sizeof(desc)));
-      ring.try_dequeue(
-          ctx_->acc(), consumed,
-          std::span<std::byte>(scratch_).subspan(0, header->chunk_bytes),
-          /*absorb_stamp=*/assembly.unexpected == nullptr);
-      bool desc_ok = ring.last_dequeue_intact() &&
-                     header->chunk_bytes == sizeof(RdvzDescriptor);
-      if (desc_ok) {
-        std::memcpy(&desc, scratch_.data(), sizeof(desc));
-        desc_ok = desc.total_bytes == assembly.total &&
-                  desc.seg_offset + desc.seg_bytes <= assembly.total;
-      }
-      if (!desc_ok) {
-        // A torn descriptor leaves the segment unlocatable; the slab was
-        // never touched, so only this message is damaged, not the ring.
-        assembly.corrupt = true;
-      } else {
-        if (assembly.request != nullptr) {
-          pull_rendezvous_segment(desc.slot_offset + desc.seg_offset,
-                                  desc.seg_offset, desc.seg_bytes,
-                                  desc.seg_crc, assembly.request->recv_buffer,
-                                  assembly.corrupt, assembly.truncated);
-        } else if (assembly.unexpected != nullptr) {
-          UnexpectedMsg& msg = *assembly.unexpected;
-          msg.rdvz_slot_offset = desc.slot_offset;
-          msg.rdvz_segs.push_back(RdvzSegment{
-              desc.slot_offset + desc.seg_offset, desc.seg_bytes,
-              desc.seg_crc});
-          msg.received += desc.seg_bytes;
-        }
-        // Fenced/detached: descriptor consumed, slab left untouched.
-        assembly.received += desc.seg_bytes;
-      }
     } else if (assembly.request != nullptr) {
       std::span<std::byte> buffer = assembly.request->recv_buffer;
       if (header->chunk_offset + header->chunk_bytes <= buffer.size()) {
-        ring.try_dequeue(ctx_->acc(), consumed,
+        from.try_dequeue(acc, consumed,
                          buffer.subspan(header->chunk_offset,
                                         header->chunk_bytes));
       } else {
         // Truncation: consume through a scratch buffer, keep what fits.
         scratch_.resize(header->chunk_bytes);
-        ring.try_dequeue(ctx_->acc(), consumed, scratch_);
+        from.try_dequeue(acc, consumed, scratch_);
         assembly.truncated = true;
         if (header->chunk_offset < buffer.size()) {
           const std::size_t fits = buffer.size() - header->chunk_offset;
@@ -1180,8 +1008,8 @@ bool Endpoint::drain_source(int src, std::size_t max_cells) {
         }
       }
     } else if (assembly.unexpected != nullptr) {
-      ring.try_dequeue(
-          ctx_->acc(), consumed,
+      from.try_dequeue(
+          acc, consumed,
           std::span<std::byte>(assembly.unexpected->data)
               .subspan(header->chunk_offset, header->chunk_bytes),
           /*absorb_stamp=*/false);
@@ -1192,7 +1020,7 @@ bool Endpoint::drain_source(int src, std::size_t max_cells) {
       // retransmission found no waiting party. Keep the FIFO coherent by
       // consuming and discarding the rest of the message.
       scratch_.resize(header->chunk_bytes);
-      ring.try_dequeue(ctx_->acc(), consumed, scratch_);
+      from.try_dequeue(acc, consumed, scratch_);
     }
     if (assembly.unexpected != nullptr) {
       // A parked cell's data is ready when a rank waiting for it would
@@ -1204,120 +1032,123 @@ bool Endpoint::drain_source(int src, std::size_t max_cells) {
                            std::bit_cast<simtime::Ns>(consumed.stamp)) +
                   (ctx_->clock().now() - dequeue_start);
     }
-    if (!ring.last_dequeue_intact()) {
+    if (!from.last_dequeue_intact()) {
       assembly.corrupt = true;
       ctx_->recovery_counters().crc_failures.fetch_add(1);
     }
-    if (ctx_->acc().poison_pending()) {
+    if (acc.poison_pending()) {
       // Take it even when the message already holds an error: poison
       // left pending would be claimed by the next cell dequeued, which
       // may belong to another peer's message. The first error is kept.
-      Status poison = ctx_->acc().take_poison_status(
+      Status poison = acc.take_poison_status(
           "recv payload from rank " + std::to_string(src));
       if (assembly.data_error.is_ok()) {
         assembly.data_error = std::move(poison);
       }
     }
-    if (!assembly.rendezvous) {
-      assembly.received += header->chunk_bytes;
-    }
     ++reaped;
-
-    if ((header->flags & queue::kLastChunk) != 0) {
-      // A torn RTS descriptor loses that segment's byte count, so a
-      // corrupt rendezvous assembly may legitimately undercount.
-      CMPI_ASSERT(assembly.received == assembly.total ||
-                  (assembly.rendezvous && assembly.corrupt));
-      const bool damaged = assembly.corrupt || !assembly.data_error.is_ok();
-      if (assembly.control) {
-        if (!damaged) {
-          handle_control(src, tag, assembly.control_data);
-        }
-        // A damaged control message is dropped: retransmitting NAKs of
-        // NAKs cannot converge, and the peer's next NAK retries anyway.
-      } else if (assembly.request != nullptr) {
-        // Rendezvous damage never NAKs: pull_rendezvous_segment already
-        // exhausted its re-read budget against the live slab.
-        if (damaged && !assembly.rendezvous && begin_retry(src, tag, assembly)) {
-          // The request went back to the head of posted_recvs_; the
-          // retransmission (or a REJECT) completes it later.
-        } else {
-          Request& req = *assembly.request;
-          Status delivery = Status::ok();
-          if (!assembly.data_error.is_ok()) {
-            delivery = assembly.data_error;
-          } else if (assembly.corrupt) {
-            delivery = status::data_poisoned(
-                "payload from rank " + std::to_string(src) +
-                " still corrupt after " + std::to_string(kMaxRetransmits) +
-                (assembly.rendezvous ? " re-reads" : " retransmissions"));
-          } else if (assembly.truncated) {
-            delivery = status::truncated("message larger than recv buffer");
-          }
-          complete_recv(req, src, tag,
-                        std::min(assembly.total, req.recv_buffer.size()),
-                        std::move(delivery));
-          std::erase_if(matched_keepalive_, [&](const RequestPtr& r) {
-            return r.get() == &req;
-          });
-          retry_.erase({src, assembly.seq});
-          if (assembly.synchronous) {
-            send_ssend_ack(src, assembly.ssend_counter);
-          }
-          if (assembly.rendezvous) {
-            // FIN even when damaged: the sender's slab has nothing more
-            // to give, so holding its slot hostage helps nobody.
-            send_control(src, kRdvzFinTag, assembly.seq);
-          }
-        }
-      } else if (assembly.unexpected != nullptr) {
-        if (damaged && !assembly.rendezvous && begin_retry(src, tag, assembly)) {
-          // Parked in unexpected_ with retry_pending; the retransmission
-          // rewrites it in place.
-        } else {
-          UnexpectedMsg& msg = *assembly.unexpected;
-          msg.retry_pending = false;
-          msg.data_error = assembly.data_error;
-          if (msg.data_error.is_ok() && assembly.corrupt) {
-            msg.data_error = status::data_poisoned(
-                "payload from rank " + std::to_string(src) +
-                " still corrupt after " + std::to_string(kMaxRetransmits) +
-                " retransmissions");
-          }
-          retry_.erase({src, assembly.seq});
-          if (assembly.rendezvous) {
-            // A torn descriptor undercounts `received`; force the message
-            // matchable so the error (if any) can be delivered.
-            msg.received = msg.total;
-          }
-          // The unexpected message is now complete: a posted wildcard may
-          // have been waiting for it.
-          if (RequestPtr req = posted_recvs_.take_match(src, tag)) {
-            const bool found = match_unexpected(*req);
-            CMPI_ASSERT(found);
-          }
-        }
-      } else if (assembly.rendezvous && !assembly.fenced) {
-        // Detached rendezvous (the matched receive was cancelled): the
-        // payload will never be pulled — FIN now so the sender's slot is
-        // not pinned forever.
-        send_control(src, kRdvzFinTag, assembly.seq);
+    if (envelope) {
+      const Result<queue::SpscRing*> body = bulk_ring_from(src);
+      if (body.is_ok()) {
+        // The body's cells come next, whatever the envelope held: a
+        // poisoned envelope's message completes kDataPoisoned, and a
+        // fenced one is discarded, only after its body is consumed, so
+        // none of its cells is left holding the sender's credit.
+        body.value()->defer_head_publish(true);
+        assembly.rendezvous = true;
+        continue;
       }
-      // (Other detached and all fenced assemblies complete silently — the
-      // message was consumed on behalf of a cancelled receive, or belongs
-      // to a dead incarnation.)
-      assembly = Assembly{};
+      // The bulk ring cannot be read at all: the message ends here.
+      if (assembly.data_error.is_ok()) {
+        assembly.data_error = status::data_poisoned(
+            "payload from rank " + std::to_string(src) +
+            ": bulk ring unreadable: " + body.status().message());
+      }
+    } else {
+      assembly.received += header->chunk_bytes;
+      if ((header->flags & queue::kLastChunk) == 0) {
+        continue;
+      }
     }
+
+    // The message's last cell: complete it.
+    CMPI_ASSERT(assembly.received == assembly.total || envelope);
+    // A large message has no staging copy to retransmit: its damage is
+    // final.
+    const bool large = assembly.rendezvous || envelope;
+    const bool damaged = assembly.corrupt || !assembly.data_error.is_ok();
+    if (assembly.control) {
+      if (!damaged) {
+        handle_control(src, tag, assembly.control_data);
+      }
+      // A damaged control message is dropped: retransmitting NAKs of
+      // NAKs cannot converge, and the peer's next NAK retries anyway.
+    } else if (assembly.request != nullptr) {
+      if (damaged && !large && begin_retry(src, tag, assembly)) {
+        // The request went back to the head of posted_recvs_; the
+        // retransmission (or a REJECT) completes it later.
+      } else {
+        Request& req = *assembly.request;
+        Status delivery = Status::ok();
+        if (!assembly.data_error.is_ok()) {
+          delivery = assembly.data_error;
+        } else if (assembly.corrupt) {
+          delivery = corrupt_payload(src, large);
+        } else if (assembly.truncated) {
+          delivery = status::truncated("message larger than recv buffer");
+        }
+        complete_recv(req, src, tag,
+                      std::min(assembly.total, req.recv_buffer.size()),
+                      std::move(delivery));
+        std::erase_if(matched_keepalive_, [&](const RequestPtr& r) {
+          return r.get() == &req;
+        });
+        retry_.erase({src, assembly.seq});
+        if (assembly.synchronous) {
+          send_ssend_ack(src, assembly.ssend_counter);
+        }
+      }
+    } else if (assembly.unexpected != nullptr) {
+      if (damaged && !large && begin_retry(src, tag, assembly)) {
+        // Parked in unexpected_ with retry_pending; the retransmission
+        // rewrites it in place.
+      } else {
+        UnexpectedMsg& msg = *assembly.unexpected;
+        msg.retry_pending = false;
+        msg.data_error = assembly.data_error;
+        if (msg.data_error.is_ok() && assembly.corrupt) {
+          msg.data_error = corrupt_payload(src, large);
+        }
+        // A message that ended at its envelope delivers its error.
+        msg.received = msg.total;
+        retry_.erase({src, assembly.seq});
+        // The unexpected message is now complete: a posted wildcard may
+        // have been waiting for it.
+        if (RequestPtr req = posted_recvs_.take_match(src, tag)) {
+          const bool found = match_unexpected(*req);
+          CMPI_ASSERT(found);
+        }
+      }
+    }
+    // (Detached and fenced assemblies complete silently — the message was
+    // consumed on behalf of a cancelled receive, or belongs to a dead
+    // incarnation.)
+    assembly = Assembly{};
   }
-  // One head publish covers the whole batch — including the reap-cap
-  // exit, so a crashed receiver's unpublished-head window never spans
-  // calls (at-least-once redelivery stays confined to one drain).
-  ring.flush_head(ctx_->acc());
+  // One head publish per ring covers the whole batch — including the
+  // reap-cap exit, so a crashed receiver's unpublished-head window never
+  // spans calls (at-least-once redelivery stays confined to one drain).
+  ring.flush_head(acc);
   ring.defer_head_publish(false);
+  if (bulk.has_value()) {
+    bulk->flush_head(acc);
+    bulk->defer_head_publish(false);
+  }
   // Reads ahead (the next cells' gathered wave); any poison it hits stays
   // parked with its cell (SpscRing::peek) instead of landing on the next
   // peer's dequeue, and each stamp waits for its dequeue too.
-  const bool more = reaped >= max_cells && ring.peek(ctx_->acc()).has_value();
+  const bool more = reaped >= max_cells &&
+                    (assembly.rendezvous ? *bulk : ring).peek(acc).has_value();
   if (reaped > 0) {
     CMPI_OBS_HIST("p2p.cells_per_reap", reaped);
     ctx_->doorbell().ring();
@@ -1373,25 +1204,7 @@ Endpoint::DebugQueueSizes Endpoint::debug_queue_sizes() const noexcept {
   for (const std::size_t bytes : staged_bytes_) {
     sizes.staged_bytes += bytes;
   }
-  for (const auto& inflight : rdvz_inflight_) {
-    sizes.rendezvous_inflight += inflight.size();
-  }
-  for (const auto& cache : rdvz_slot_cache_) {
-    sizes.rendezvous_cached += cache.size();
-  }
   return sizes;
-}
-
-std::vector<Endpoint::DebugRdvzSlot> Endpoint::debug_rendezvous_inflight(
-    int dst) const {
-  CMPI_EXPECTS(dst >= 0 && dst < nranks());
-  std::vector<DebugRdvzSlot> out;
-  for (const RdvzInflight& entry :
-       rdvz_inflight_[static_cast<std::size_t>(dst)]) {
-    out.push_back(DebugRdvzSlot{entry.seq, entry.slot.pool_offset,
-                                entry.slot.size});
-  }
-  return out;
 }
 
 bool Endpoint::test(const RequestPtr& request) {
@@ -1514,12 +1327,6 @@ bool Endpoint::cancel_request(const RequestPtr& request, Status verdict) {
         return false;
       }
       queue.erase(queued);
-    }
-    if (req.rdvz_slot.has_value()) {
-      // Slot acquired but nothing announced yet (an announced send either
-      // stayed pending above or moved the slot to the inflight list).
-      release_rdvz_slot(req.peer, std::move(*req.rdvz_slot));
-      req.rdvz_slot.reset();
     }
     if (req.synchronous) {
       std::erase_if(pending_ssends_,
@@ -1645,16 +1452,24 @@ Endpoint::PeerScavengeReport Endpoint::scavenge_peer(int dead_rank) {
   const auto dead = static_cast<std::size_t>(dead_rank);
   PeerScavengeReport report;
 
-  // Inbound: fsck the corpse's producer ring (this endpoint is its sole
-  // consumer) — half-written cells are detected and tombstoned, the head
-  // is republished so the next incarnation finds an empty ring.
-  queue::SpscRing& ring = matrix_.ring(ctx_->acc(), rank(), dead_rank);
-  const queue::SpscRing::ScavengeCounts counts =
-      ring.scavenge_producer(ctx_->acc());
-  report.cells_drained = counts.drained;
-  report.cells_torn = counts.torn;
-  ctx_->recovery_counters().ring_cells_tombstoned.fetch_add(counts.drained +
-                                                            counts.torn);
+  // Inbound: fsck the corpse's producer rings, small and bulk (this
+  // endpoint is their sole consumer) — half-written cells are detected
+  // and tombstoned, the heads are republished so the next incarnation
+  // finds empty rings. The bulk ring is found by name, as at an envelope,
+  // when the corpse ever created one.
+  cxlsim::Accessor& acc = ctx_->acc();
+  std::vector<queue::SpscRing*> rings{&matrix_.ring(acc, rank(), dead_rank)};
+  if (const Result<queue::SpscRing*> bulk = bulk_ring_from(dead_rank);
+      bulk.is_ok()) {
+    rings.push_back(bulk.value());
+  }
+  for (queue::SpscRing* ring : rings) {
+    const queue::SpscRing::ScavengeCounts counts = ring->scavenge_producer(acc);
+    report.cells_drained += counts.drained;
+    report.cells_torn += counts.torn;
+    ctx_->recovery_counters().ring_cells_tombstoned.fetch_add(counts.drained +
+                                                              counts.torn);
+  }
 
   // The half-assembled inbound message (if any) is abandoned: its
   // remaining chunks died with the producer.
@@ -1676,25 +1491,15 @@ Endpoint::PeerScavengeReport Endpoint::scavenge_peer(int dead_rank) {
     assembly = Assembly{};
   }
   // Partial or retry-parked unexpected messages from the corpse can never
-  // complete; fully-arrived intact ones were sent before the death and
-  // stay deliverable. Rendezvous arrivals are the exception: their bytes
-  // still sit in the corpse's slab, which the pool scavenge is about to
-  // reclaim — a deferred pull would read freed (or reused) memory.
+  // complete; fully-arrived ones were sent before the death and stay
+  // deliverable.
   unexpected_.remove_if([&](const UnexpectedMsgPtr& m) {
-    return m->source == dead_rank &&
-           (!m->full() || m->retry_pending || m->rendezvous);
+    return m->source == dead_rank && (!m->full() || m->retry_pending);
   });
 
   // Outbound: nothing queued for the corpse will ever be consumed.
   auto& pending = send_queues_[dead];
   for (const RequestPtr& req : pending) {
-    if (req->rdvz_slot.has_value()) {
-      // Half-announced rendezvous send: the slab is ours to destroy (no
-      // live consumer can ever pull from it).
-      destroy_rdvz_slot(std::move(*req->rdvz_slot));
-      req->rdvz_slot.reset();
-      ++report.rendezvous_slots_freed;
-    }
     if (!req->complete_) {
       req->send_data = {};
       req->result_ = status::peer_failed(
@@ -1706,25 +1511,6 @@ Endpoint::PeerScavengeReport Endpoint::scavenge_peer(int dead_rank) {
   pending.clear();
   staged_copies_[dead].clear();
   staged_bytes_[dead] = 0;
-  // In-flight rendezvous slots toward the corpse will never be FINed, and
-  // its cached (idle) slots are dead weight: both are our own arena
-  // objects, destroyed here rather than leaked until pool teardown.
-  auto& inflight = rdvz_inflight_[dead];
-  for (RdvzInflight& entry : inflight) {
-    destroy_rdvz_slot(std::move(entry.slot));
-    ++report.rendezvous_slots_freed;
-  }
-  inflight.clear();
-  auto& cache = rdvz_slot_cache_[dead];
-  for (arena::ObjectHandle& slot : cache) {
-    destroy_rdvz_slot(std::move(slot));
-    ++report.rendezvous_slots_freed;
-  }
-  cache.clear();
-  if (report.rendezvous_slots_freed > 0) {
-    ctx_->recovery_counters().rendezvous_slots_scavenged.fetch_add(
-        report.rendezvous_slots_freed);
-  }
   std::erase_if(pending_ssends_, [&](const RequestPtr& req) {
     if (req->peer != dead_rank) {
       return false;

@@ -54,21 +54,25 @@
 // arrival order (see tag_match.hpp). A rotating scan start plus the
 // per-visit reap bound round-robins saturating senders fairly.
 //
-// Large-message fast path (one-copy rendezvous): a message larger than
-// rendezvous_threshold() (UniverseConfig::rendezvous_threshold, default
-// one cell payload) skips cell chunking entirely. The sender parks the
-// payload in a per-message arena slab and announces it through the ring
-// with small RTS descriptor cells (kRendezvous flag), one per segment of
-// at most kRendezvousSegmentBytes, so the receiver pulls segment k while
-// the sender writes k+1. The receiver reads each segment straight from
-// the pool into the user buffer — one copy end to end instead of the
-// eager path's copy-in/copy-out — and FINishes the message with a control
-// cell so the sender can recycle the slab (a small per-destination slot
-// cache amortizes arena allocation). Integrity is per-segment CRC32C with
-// bounded re-reads in place of NAK retransmissions (the slab IS the
-// staging copy); a dead sender's slabs are reclaimed by pool scavenge
-// (arena::kRendezvousNamePrefix), a dead receiver's un-FINished slots by
-// scavenge_peer.
+// Large messages (bulk ring): a message larger than rendezvous_threshold()
+// (UniverseConfig::rendezvous_threshold, default one cell payload) travels
+// through a second SPSC ring per ordered pair, the bulk ring, whose cells
+// hold one segment of at most kRendezvousSegmentBytes each. The sender
+// creates its bulk ring toward a destination at its first large send
+// (arena object cmpi.bulk.<src>.<dst>, shared infrastructure like the
+// ring matrix), stages every segment as a bulk cell and announces the
+// message once, with a payload-less envelope cell (kRendezvous flag) on
+// the pair's small ring. The receiver finds the bulk ring by name at the
+// first envelope, matches the envelope as it matches an eager first
+// chunk, then reads the message's bulk cells the way it reads eager
+// chunks; it reads the small ring past an envelope only after that
+// message's last bulk cell, so per-pair FIFO order holds across the two
+// rings. Every envelope leads to its body, even when the message is
+// poisoned or fenced, so no cell is left holding the sender's credit: the
+// bulk ring's head is that credit, and nothing is allocated per message.
+// The sender keeps no staging copy, so a large message whose envelope
+// reads poison, or whose bulk cell fails its CRC or reads poison,
+// completes the receive with kDataPoisoned, without a NAK.
 #pragma once
 
 #include <atomic>
@@ -83,7 +87,6 @@
 #include <utility>
 #include <vector>
 
-#include "arena/arena.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
 #include "p2p/tag_match.hpp"
@@ -196,11 +199,7 @@ class Request {
   /// Per-cell CRC32Cs computed while building `owned` (one fused
   /// copy+checksum pass); the ring stages prehashed from these.
   std::vector<std::uint32_t> chunk_crcs;
-  // rendezvous send fields (large-message one-copy path)
-  bool rendezvous = false;           // path decided at isend/issend time
-  std::optional<arena::ObjectHandle> rdvz_slot;  // slab while announcing
-  std::size_t rdvz_written = 0;      // slab bytes already written
-  std::uint32_t rdvz_seg_crc = 0;    // CRC of the written-but-unannounced seg
+  bool rendezvous = false;  // bulk-ring path, decided at isend/issend time
   // recv fields
   std::span<std::byte> recv_buffer{};
   bool matched = false;
@@ -225,24 +224,12 @@ class Endpoint {
   /// without bound, so the depth bound above is joined by this byte
   /// bound; the newest copy always stays staged.
   static constexpr std::size_t kRetransmitStagingBytes = std::size_t{1} << 20;
-  /// One rendezvous RTS descriptor is published per this many payload
-  /// bytes, so the receiver pulls segment k while the sender writes k+1
-  /// (a single end-of-message announcement would serialize the two sides
-  /// and lose to eager pipelining at low rank counts).
+  /// Largest segment of a large message, and so the payload of a bulk
+  /// cell: the receiver reads segment k while the sender writes k+1 (one
+  /// cell for the whole message would serialize the two sides and lose to
+  /// eager pipelining at low rank counts).
   static constexpr std::size_t kRendezvousSegmentBytes = std::size_t{128}
                                                         << 10;
-  /// Rendezvous slots staged toward one destination whose FIN is still
-  /// outstanding; further large sends to that destination wait (bounds
-  /// pool consumption under a one-way stream).
-  static constexpr std::size_t kMaxRendezvousInflight = 8;
-  /// FINished slots kept per destination for reuse (skips the arena
-  /// create/destroy round-trip on the next large message). Sized to the
-  /// inflight cap: an OSU-style window of concurrent sends returns that
-  /// many slots at once, and a smaller cache would destroy and re-create
-  /// the excess every iteration (measured 3.6x bandwidth loss at 128 KiB
-  /// with a depth-2 cache under an 8-message window).
-  static constexpr std::size_t kRendezvousSlotCacheDepth =
-      kMaxRendezvousInflight;
   /// Cells reaped from one peer ring per visit before the progress loop
   /// moves on (fairness bound) — and therefore the span of one deferred
   /// head publish / one amortized invalidate-sweep setup.
@@ -356,21 +343,9 @@ class Endpoint {
     std::size_t pending_ssends = 0;
     std::size_t send_queued = 0;  // across all destinations
     std::size_t staged_bytes = 0;  // retransmit staging, all destinations
-    std::size_t rendezvous_inflight = 0;  // slots awaiting FIN, all dsts
-    std::size_t rendezvous_cached = 0;    // recycled slots held, all dsts
   };
   [[nodiscard]] DebugQueueSizes debug_queue_sizes() const noexcept;
 
-  /// Sender-side in-flight rendezvous slots toward `dst` (fully announced,
-  /// FIN not yet received). Lets fault-injection tests aim poison at the
-  /// slab bytes a deferred (unexpected-message) pull will read.
-  struct DebugRdvzSlot {
-    std::uint32_t seq = 0;
-    std::uint64_t pool_offset = 0;
-    std::uint64_t bytes = 0;
-  };
-  [[nodiscard]] std::vector<DebugRdvzSlot> debug_rendezvous_inflight(
-      int dst) const;
   /// The eager/rendezvous switchover that a configured
   /// UniverseConfig::rendezvous_threshold selects on rings of
   /// `cell_payload`-byte cells: 0 means one cell payload; anything else,
@@ -390,19 +365,16 @@ class Endpoint {
     std::uint64_t cells_drained = 0;   ///< published ring cells discarded
     std::uint64_t cells_torn = 0;      ///< cells failing generation/CRC
     std::uint64_t requests_failed = 0; ///< requests completed kPeerFailed
-    /// Our rendezvous slots toward the corpse destroyed here (in-flight
-    /// slots whose FIN will never come, plus idle cached slots).
-    std::uint64_t rendezvous_slots_freed = 0;
   };
 
   /// Endpoint-local half of pool recovery (the pool-global half is
   /// runtime::PoolRecovery; core::Session ties them together). Every
   /// survivor runs this for itself against a convicted-dead peer:
-  /// drain/tombstone the corpse's inbound ring (half-written cells are
-  /// detected by generation + CRC and discarded), abandon the half-
-  /// assembled inbound message, fail outstanding requests that depend on
-  /// the corpse with kPeerFailed, and drop retransmit staging + retry
-  /// state keyed to it.
+  /// drain/tombstone the corpse's inbound small and bulk rings (half-
+  /// written cells are detected by generation + CRC and discarded; the
+  /// report counts both rings), abandon the half-assembled inbound
+  /// message, fail outstanding requests that depend on the corpse with
+  /// kPeerFailed, and drop retransmit staging + retry state keyed to it.
   PeerScavengeReport scavenge_peer(int dead_rank);
 
   /// Pool offset of the ring `sender` produces toward `receiver` (layout
@@ -434,8 +406,8 @@ class Endpoint {
     bool synchronous = false;
     bool corrupt = false;           // a chunk failed the generation/CRC scan
     bool fenced = false;            // stale incarnation: discard whole msg
-    bool control = false;           // NAK/REJECT/FIN: consumed, not delivered
-    bool rendezvous = false;        // cells are RTS descriptors, not payload
+    bool control = false;           // NAK/REJECT: consumed, not delivered
+    bool rendezvous = false;        // the body follows on the bulk ring
     std::uint32_t ssend_counter = 0;
     std::vector<std::byte> control_data;  // control message payload
     /// Media error recorded while chunks were drained (kDataPoisoned).
@@ -452,16 +424,6 @@ class Endpoint {
     /// Per-cell CRCs carried over from the fused staging pass, so a
     /// retransmission stages prehashed too.
     std::vector<std::uint32_t> chunk_crcs;
-  };
-
-  /// Sender-side rendezvous slot fully announced toward a destination,
-  /// awaiting that receiver's FIN before the slab can be recycled.
-  struct RdvzInflight {
-    std::uint32_t seq = 0;
-    arena::ObjectHandle slot;
-    /// Sender's virtual time when the last RTS was published (obs: the
-    /// RTS→FIN lifetime histogram).
-    simtime::Ns staged_ns = 0;
   };
 
   /// Receiver-side state of a message awaiting retransmission, keyed by
@@ -501,30 +463,21 @@ class Endpoint {
   /// sleeping between our stage and our flush is not lost.
   void flush_publishes();
 
-  // --- Large-message rendezvous path ---
-  /// Outcome of one attempt to advance a rendezvous send.
+  // --- Large-message path (bulk ring) ---
+  /// Outcome of one attempt to advance a large send.
   enum class RdvzPush {
-    kBlocked,   ///< ring full or inflight budget exhausted; retry later
-    kStaged,    ///< fully announced; the slot moved to the inflight list
-    kFallback,  ///< no slab available; deliver this message eagerly
+    kBlocked,   ///< bulk or small ring full; retry later
+    kStaged,    ///< every segment published
+    kFallback,  ///< no bulk ring available; deliver this message eagerly
   };
   RdvzPush push_rendezvous(int dst, queue::SpscRing& ring, Request& req);
-  /// Slab for one outgoing message: recycled from the per-destination
-  /// cache when a FINished slot is large enough, freshly created
-  /// (deadline-bounded; see Arena::create_for) otherwise.
-  Result<arena::ObjectHandle> acquire_rdvz_slot(int dst, std::uint64_t bytes);
-  /// Return a slot to the per-destination cache, destroying the overflow.
-  void release_rdvz_slot(int dst, arena::ObjectHandle slot);
-  void destroy_rdvz_slot(arena::ObjectHandle slot);
-  /// Receiver side: pull one segment from the sender's slab into its
-  /// place in `buffer` (bytes beyond the buffer are consumed via scratch
-  /// and reported as truncation), verifying the segment CRC with bounded
-  /// re-reads in place of the eager path's NAK retransmissions.
-  void pull_rendezvous_segment(std::uint64_t seg_pool_offset,
-                               std::size_t msg_offset, std::size_t seg_bytes,
-                               std::uint32_t seg_crc,
-                               std::span<std::byte> buffer, bool& corrupt,
-                               bool& truncated);
+  /// This rank's bulk ring toward `dst`, found or else created
+  /// (deadline-bounded; see Arena::create_for) at the first large send.
+  /// nullptr when the arena cannot supply it.
+  queue::SpscRing* bulk_ring_to(int dst);
+  /// `src`'s bulk ring toward this rank, found by name (Arena::find, no
+  /// lock) and attached once. An error means the ring cannot be read.
+  Result<queue::SpscRing*> bulk_ring_from(int src);
 
   /// Build the staging copy + per-cell CRCs for an eligible eager user
   /// send in one fused pass over the payload (common/crc32c), and point
@@ -567,12 +520,10 @@ class Endpoint {
   std::vector<std::uint32_t> send_seq_;             // per destination
   std::vector<std::deque<StagedCopy>> staged_copies_;  // per destination
   std::vector<std::size_t> staged_bytes_;              // per destination
-  /// Rendezvous sender state, per destination: slots awaiting FIN and the
-  /// recycled-slot cache.
-  std::vector<std::deque<RdvzInflight>> rdvz_inflight_;
-  std::vector<std::deque<arena::ObjectHandle>> rdvz_slot_cache_;
+  /// Bulk-ring views: producer per destination, consumer per source.
+  std::vector<std::optional<queue::SpscRing>> bulk_out_;
+  std::vector<std::optional<queue::SpscRing>> bulk_in_;
   std::size_t rendezvous_threshold_ = 0;  // see rendezvous_threshold()
-  std::uint64_t rdvz_name_counter_ = 0;  // unique slab names
   /// Messages awaiting retransmission, keyed (source, msg_seq).
   std::map<std::pair<int, std::uint32_t>, RetryState> retry_;
   PostedRecvQueue posted_recvs_;  // matched in post order

@@ -45,15 +45,9 @@ constexpr bool tags_match(int posted_src, int posted_tag, int src,
 class Request;
 using RequestPtr = std::shared_ptr<Request>;
 
-/// Receiver-side record of one announced rendezvous segment.
-struct RdvzSegment {
-  std::uint64_t pool_offset = 0;  ///< absolute pool offset of the segment
-  std::uint32_t bytes = 0;
-  std::uint32_t crc = 0;
-};
-
 /// A message that arrived (fully or partially) with no matching posted
-/// receive yet.
+/// receive yet. Its payload drains into `data` as its cells arrive, a
+/// large message's bulk cells included.
 struct UnexpectedMsg {
   int source;
   int tag;
@@ -62,14 +56,6 @@ struct UnexpectedMsg {
   std::vector<std::byte> data;
   bool synchronous = false;  // sender awaits a match ack
   std::uint32_t ssend_counter = 0;
-  /// Large-message rendezvous: the payload stays parked in the sender's
-  /// slab (not copied into `data`); `rdvz_segs` records where each
-  /// announced segment lives. Pulled into the user buffer — and FINed —
-  /// only when a receive finally matches.
-  bool rendezvous = false;
-  std::uint64_t rdvz_slot_offset = 0;  // slab base (segment->msg offsets)
-  std::uint32_t rdvz_seq = 0;          // sender's msg_seq (FIN payload)
-  std::vector<RdvzSegment> rdvz_segs;
   /// The payload arrived corrupt and a retransmission was requested; the
   /// message is not matchable until the retransmit lands (or a REJECT
   /// finalizes it with kDataPoisoned).

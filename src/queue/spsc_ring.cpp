@@ -70,7 +70,8 @@ std::uint64_t SpscRing::published_run_end(cxlsim::Accessor& acc,
   return index;
 }
 
-Result<SpscRing> SpscRing::attach(cxlsim::Accessor& acc, std::uint64_t base) {
+Result<SpscRing> SpscRing::attach(cxlsim::Accessor& acc, std::uint64_t base,
+                                  std::size_t piece) {
   if (!is_aligned(base, kCacheLineSize)) {
     return status::invalid_argument("ring base is not cacheline-aligned");
   }
@@ -99,6 +100,7 @@ Result<SpscRing> SpscRing::attach(cxlsim::Accessor& acc, std::uint64_t base) {
         " cell_payload=" + std::to_string(cell_payload));
   }
   SpscRing ring(base, cells, cell_payload);
+  ring.piece_ = piece == 0 ? cell_payload : piece;
   // Resume from the published state: a freshly formatted ring has its head
   // at zero and no published cell, a re-attach (respawn / second run
   // epoch) picks up exactly where the last published state left the FIFO.
@@ -152,9 +154,8 @@ bool SpscRing::can_enqueue(cxlsim::Accessor& acc) {
 }
 
 bool SpscRing::try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
-                           std::span<const std::byte> payload,
-                           cxlsim::Accessor::BulkCharge charge) {
-  if (!try_stage(acc, header, payload, /*prehashed=*/false, charge)) {
+                           std::span<const std::byte> payload) {
+  if (!try_stage(acc, header, payload)) {
     return false;
   }
   publish_staged(acc);
@@ -163,7 +164,7 @@ bool SpscRing::try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
 
 bool SpscRing::try_stage(cxlsim::Accessor& acc, const CellHeader& header,
                          std::span<const std::byte> payload,
-                         bool prehashed, cxlsim::Accessor::BulkCharge charge) {
+                         bool prehashed) {
   CMPI_EXPECTS(payload.size() <= cell_payload_);
   CMPI_EXPECTS(header.chunk_bytes == payload.size());
   if (!can_enqueue(acc)) {
@@ -172,11 +173,14 @@ bool SpscRing::try_stage(cxlsim::Accessor& acc, const CellHeader& header,
   const std::uint64_t cell = cell_base(tail_local_);
   // Payload now; header (and its durability stamp) at publish time, after
   // the batch fence, so the stamp covers the payload. The second and later
-  // cells of a batch share the first one's flush sweep.
-  if (!payload.empty()) {
-    acc.bulk_write(cell + sizeof(CellHeader), payload,
-                   staged_.empty() ? charge
-                                   : cxlsim::Accessor::BulkCharge::kBatched);
+  // cells of a batch, and the later pieces of a cell, share the first
+  // write's flush sweep.
+  for (std::size_t off = 0; off < payload.size(); off += piece_) {
+    acc.bulk_write(cell + sizeof(CellHeader) + off,
+                   payload.subspan(off, std::min(piece_, payload.size() - off)),
+                   off == 0 && staged_.empty()
+                       ? cxlsim::Accessor::BulkCharge::kFull
+                       : cxlsim::Accessor::BulkCharge::kBatched);
   }
   Staged staged;
   staged.header = header;
@@ -320,11 +324,15 @@ bool SpscRing::try_dequeue(cxlsim::Accessor& acc, CellHeader& header_out,
       CMPI_OBS_COUNT("ring.payload_waves", 1);
     } else {
       // In a deferred-head reap batch, the first bulk read pays the
-      // batch's single invalidate sweep and later ones share it.
-      acc.bulk_read(cell + sizeof(CellHeader), chunk,
-                    head_defer_ && read_setup_charged_
-                        ? cxlsim::Accessor::BulkCharge::kBatched
-                        : cxlsim::Accessor::BulkCharge::kFull);
+      // batch's single invalidate sweep and later ones share it; so do
+      // the later pieces of this chunk.
+      for (std::size_t off = 0; off < chunk.size(); off += piece_) {
+        acc.bulk_read(cell + sizeof(CellHeader) + off,
+                      chunk.subspan(off, std::min(piece_, chunk.size() - off)),
+                      (head_defer_ && read_setup_charged_) || off > 0
+                          ? cxlsim::Accessor::BulkCharge::kBatched
+                          : cxlsim::Accessor::BulkCharge::kFull);
+      }
       read_setup_charged_ = true;
     }
     // End-to-end integrity: the CRC is over what we actually copied out,

@@ -87,10 +87,10 @@ inline constexpr std::uint32_t kSyncSend = 2;
 /// The message is a retransmission of an earlier sequence number (the
 /// receiver NAKed a corrupt payload; see p2p::Endpoint).
 inline constexpr std::uint32_t kRetransmit = 4;
-/// The cell is a rendezvous RTS descriptor: the payload is a small
-/// p2p-layer descriptor pointing at the message body parked in an arena
-/// slot, not message data (large-message one-copy path; see p2p::Endpoint).
-/// `total_bytes` still carries the real message size for matching/probing.
+/// The cell is a large message's envelope, with no payload: the message
+/// body follows in the sender's bulk ring toward this receiver, a second
+/// ring found by name (see p2p::Endpoint). `total_bytes` carries the real
+/// message size for matching and probing.
 inline constexpr std::uint32_t kRendezvous = 8;
 
 class SpscRing {
@@ -120,7 +120,11 @@ class SpscRing {
   /// a re-attach (respawned rank, second Universe::run epoch) resumes
   /// exactly at the published state: cells a crashed producer staged but
   /// never published are simply lost, as a real crash would lose them.
-  static Result<SpscRing> attach(cxlsim::Accessor& acc, std::uint64_t base);
+  /// A nonzero `piece` caps the bytes of one bulk copy: a longer cell
+  /// payload is written and read in pieces that share one flush sweep
+  /// (see try_stage and try_dequeue). 0 copies a payload whole.
+  static Result<SpscRing> attach(cxlsim::Accessor& acc, std::uint64_t base,
+                                 std::size_t piece = 0);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cells_; }
   [[nodiscard]] std::size_t cell_payload() const noexcept {
@@ -138,11 +142,8 @@ class SpscRing {
   /// Enqueue one chunk. Returns false (and does nothing) if the ring is
   /// full. `payload.size()` must be <= cell_payload. Publishes any
   /// previously staged cells along with this one (FIFO order preserved).
-  /// `charge` is as for try_stage.
   bool try_enqueue(cxlsim::Accessor& acc, const CellHeader& header,
-                   std::span<const std::byte> payload,
-                   cxlsim::Accessor::BulkCharge charge =
-                       cxlsim::Accessor::BulkCharge::kFull);
+                   std::span<const std::byte> payload);
 
   // ---- Producer side: staged batches ----
   // The message-rate path amortizes the per-cell publish cost: stage K
@@ -158,15 +159,10 @@ class SpscRing {
   /// trusted as supplied instead of computing CRC32C over `payload` here:
   /// the p2p eager path computes the checksum while building its staging
   /// copy (one fused pass over the payload), so the ring does not traverse
-  /// the bytes a second time. `charge` is the flush-sweep charge of a
-  /// batch's first payload write (later cells of the batch always share
-  /// it): pass kBatched when a bulk write of the caller's own, fenced by
-  /// the same publish, already paid the sweep — a rendezvous RTS rides
-  /// its slab segment's.
+  /// the bytes a second time. A batch's first payload write pays the
+  /// flush sweep; later cells of the batch share it.
   bool try_stage(cxlsim::Accessor& acc, const CellHeader& header,
-                 std::span<const std::byte> payload, bool prehashed = false,
-                 cxlsim::Accessor::BulkCharge charge =
-                     cxlsim::Accessor::BulkCharge::kFull);
+                 std::span<const std::byte> payload, bool prehashed = false);
   /// Cells staged but not yet published.
   [[nodiscard]] std::size_t staged_pending() const noexcept {
     return staged_.size();
@@ -219,9 +215,9 @@ class SpscRing {
   /// line the gather fetched is copied host-side. Up to kWaveChunkBytes,
   /// the rest of the chunk is one gathered wave of its lines: one device
   /// read reservation plus one line fill, no invalidate sweep, and its
-  /// poison raised on the accessor. A longer chunk is one bulk_read, which
-  /// pays the sweep's setup unless an earlier bulk read of the same
-  /// deferred-head reap batch paid it.
+  /// poison raised on the accessor. A longer chunk is one bulk_read per
+  /// piece (see attach); the first pays the sweep's setup unless an
+  /// earlier bulk read of the same deferred-head reap batch paid it.
   /// The cell's stamp is absorbed before the payload read unless
   /// `absorb_stamp` is false: then the caller keeps `header_out.stamp`,
   /// plus the time this call took, and absorbs it when it consumes what
@@ -332,6 +328,8 @@ class SpscRing {
   std::uint64_t base_;
   std::size_t cells_;
   std::size_t cell_payload_;
+  /// Longest single bulk copy of a payload (see attach).
+  std::size_t piece_ = 0;
   // Producer- and consumer-local cached counters. Each side only trusts its
   // own counter plus what the peer published.
   std::uint64_t tail_local_ = 0;  // producer: cells enqueued

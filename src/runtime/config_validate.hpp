@@ -13,8 +13,9 @@ struct UniverseConfig;
 
 /// Bounds (also the documentation of what "in range" means):
 ///   * rendezvous_threshold: 0 (default), or >= 512 bytes (a smaller
-///     switchover sends sub-cell messages through slab bookkeeping that
-///     costs more than the copy it saves). SIZE_MAX = rendezvous off.
+///     switchover would send sub-cell messages as an envelope plus a
+///     bulk cell, two publishes where eager needs one). SIZE_MAX =
+///     rendezvous off.
 [[nodiscard]] Status validate(const UniverseConfig& config);
 
 }  // namespace cmpi::runtime

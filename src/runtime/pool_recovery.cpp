@@ -87,7 +87,6 @@ Result<PoolRecovery::ScavengeReport> PoolRecovery::scavenge(
       static_cast<std::size_t>(dead_rank), dead_incarnation, beat);
   report.arena_bytes_reclaimed = arena_stats.bytes;
   report.arena_slots_reclaimed = arena_stats.slots;
-  report.rendezvous_slots_reclaimed = arena_stats.rendezvous_slots;
 
   // Break what is left of the corpse's arena-lock state. lock_for already
   // broke its ticket if we waited BEHIND it; a stale ticket LARGER than
@@ -109,10 +108,6 @@ Result<PoolRecovery::ScavengeReport> PoolRecovery::scavenge(
 
   report.performed = true;
   ctx.recovery_counters().scavenges.fetch_add(1);
-  if (arena_stats.rendezvous_slots > 0) {
-    ctx.recovery_counters().rendezvous_slots_scavenged.fetch_add(
-        arena_stats.rendezvous_slots);
-  }
   return report;
 }
 

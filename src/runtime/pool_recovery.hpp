@@ -70,9 +70,6 @@ class PoolRecovery {
     std::uint64_t epoch = 0;
     std::uint64_t arena_bytes_reclaimed = 0;
     std::uint64_t arena_slots_reclaimed = 0;
-    /// Of the arena slots, how many held in-flight rendezvous payloads
-    /// (large messages the dead rank published but no receiver FINished).
-    std::uint64_t rendezvous_slots_reclaimed = 0;
     std::uint64_t lock_tickets_broken = 0;
     bool barrier_slot_forged = false;
   };

@@ -132,8 +132,6 @@ Universe::Universe(const UniverseConfig& config) : config_(config) {
             {"recovery.scavenges", load(counters->scavenges)},
             {"recovery.ring_cells_tombstoned",
              load(counters->ring_cells_tombstoned)},
-            {"recovery.rendezvous_slots_scavenged",
-             load(counters->rendezvous_slots_scavenged)},
         };
       });
   if (config_.shared_device != nullptr) {
@@ -382,7 +380,6 @@ RecoveryStats Universe::recovery_stats() const {
   out.stale_fenced = c.stale_fenced.load();
   out.scavenges = c.scavenges.load();
   out.ring_cells_tombstoned = c.ring_cells_tombstoned.load();
-  out.rendezvous_slots_scavenged = c.rendezvous_slots_scavenged.load();
   return out;
 }
 

@@ -83,15 +83,14 @@ struct UniverseConfig {
   /// cells to divide 2^64 so `index % cells` survives wraparound).
   std::size_t ring_cells = 8;
   /// Eager/rendezvous switchover for two-sided sends (bytes). A message
-  /// strictly larger than this takes the one-copy rendezvous path: the
-  /// payload is parked in an arena slot and announced through the ring
-  /// with small RTS descriptors, and the receiver pulls it straight into
-  /// the user buffer (see p2p::Endpoint). 0 selects the default — one
-  /// cell payload (p2p::Endpoint::rendezvous_threshold_for); SIZE_MAX
+  /// strictly larger than this travels through the pair's bulk ring: its
+  /// segments fill the bulk ring's cells and one envelope cell on the
+  /// small ring announces it (see p2p::Endpoint). 0 selects the default —
+  /// one cell payload (p2p::Endpoint::rendezvous_threshold_for); SIZE_MAX
   /// disables rendezvous (eager chunking always). Nonzero values must be
-  /// >= 512 (see runtime::validate). The pipeline quantum and inflight
-  /// depth are constants (p2p::Endpoint::kRendezvousSegmentBytes and
-  /// kMaxRendezvousInflight).
+  /// >= 512 (see runtime::validate). The bulk cell's payload is a constant
+  /// (p2p::Endpoint::kRendezvousSegmentBytes), and the bulk ring has
+  /// ring_cells cells, as the small rings do.
   std::size_t rendezvous_threshold = 0;
   /// Selects nothing: the rendezvous knobs are the field and constants
   /// above. Kept only because perfbench/driver.cpp still sets
@@ -149,10 +148,6 @@ struct RecoveryCounters {
   std::atomic<std::uint64_t> stale_fenced{0};   ///< dead-incarnation msgs dropped
   std::atomic<std::uint64_t> scavenges{0};      ///< scavenge passes performed
   std::atomic<std::uint64_t> ring_cells_tombstoned{0};  ///< cells drained dead
-  /// In-flight rendezvous payload slots reclaimed: by pool scavenge (a
-  /// dead sender's slots) plus by survivors dropping slots whose receiver
-  /// died before sending FIN.
-  std::atomic<std::uint64_t> rendezvous_slots_scavenged{0};
 };
 
 /// Plain-value snapshot of RecoveryCounters.
@@ -164,7 +159,6 @@ struct RecoveryStats {
   std::uint64_t stale_fenced = 0;
   std::uint64_t scavenges = 0;
   std::uint64_t ring_cells_tombstoned = 0;
-  std::uint64_t rendezvous_slots_scavenged = 0;
 };
 
 /// Everything one rank thread needs. Owned by the Universe; valid only for

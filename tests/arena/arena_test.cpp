@@ -107,6 +107,25 @@ TEST_F(ArenaTest, OpenFromAnotherNodeSeesObject) {
   EXPECT_EQ(handle.size, 256u);
 }
 
+TEST_F(ArenaTest, FindNeedsNoLockAndTakesNoReference) {
+  // The lookup for objects nobody destroys answers while another node
+  // holds the arena lock, and its handle holds no reference to close.
+  Arena a = make_arena();
+  const auto created = check_ok(a.create("bulk", 256));
+  simtime::VClock clock_b;
+  cxlsim::CacheSim cache_b(*device_);
+  cxlsim::Accessor acc_b(*device_, cache_b, clock_b);
+  Arena b = check_ok(Arena::attach(acc_b, 0, 1));
+  a.shm_lock().lock(*acc_, a.participant());
+  auto found = check_ok(b.find("bulk"));
+  EXPECT_EQ(found.pool_offset, created.pool_offset);
+  EXPECT_EQ(found.size, 256u);
+  EXPECT_EQ(b.find("ghost").status().code(), ErrorCode::kNotFound);
+  a.shm_lock().unlock(*acc_, a.participant());
+  EXPECT_FALSE(found.open);
+  EXPECT_EQ(b.close(found).code(), ErrorCode::kClosed);
+}
+
 TEST_F(ArenaTest, DestroyMakesNameReusableAndReclaimsSpace) {
   Arena a = make_arena();
   const std::uint64_t before = a.free_bytes();

@@ -152,7 +152,7 @@ TEST_F(TraceSchemaTest, TwoProcWorkloadExportsValidChromeTrace) {
   }
 
   // The workload mixed both protocols: rank 0's timeline has eager and
-  // rendezvous send spans, rank 1 saw the FIN handshake.
+  // rendezvous send spans, rank 1's a receive.
   std::set<std::string> rank0_spans;
   std::set<std::string> rank1_names;
   for (const ParsedEvent& ev : events) {

@@ -1,14 +1,16 @@
-// Large-message one-copy rendezvous protocol: adaptive path selection,
-// deferred (unexpected) pulls, slot recycling bounds, eager fallback when
-// no slab is available, the bounded retransmit-staging budget that rides
-// along with the fused eager staging pass, and one flush sweep per
-// segment on each side.
+// Large messages through the per-pair bulk ring: adaptive path selection,
+// per-pair send order across the small and bulk rings, unexpected large
+// messages drained as they arrive, one bulk ring per pair, eager fallback
+// when the arena cannot supply the ring, the bounded retransmit-staging
+// budget that rides along with the fused eager staging pass, and one
+// flush sweep per bulk cell on the sender and one per reap batch on the
+// receiver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -82,8 +84,8 @@ TEST(Rendezvous, ConfiguredThresholdOverridesDefault) {
 }
 
 TEST(Rendezvous, MultiSegmentMessageDeliversIntact) {
-  // 2.5 MiB spans twenty 128 KiB segments — exercises the pipelined
-  // announce-while-writing loop and CRC chaining across sub-chunks.
+  // 2.5 MiB + 37 B spans 21 segments of 128 KiB, more than two laps of
+  // the 8-cell bulk ring: the sender refills cells the receiver frees.
   runtime::Universe universe(rdvz_config());
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
@@ -101,19 +103,17 @@ TEST(Rendezvous, MultiSegmentMessageDeliversIntact) {
 }
 
 TEST(Rendezvous, UnexpectedArrivalPullsOnMatch) {
-  // The receiver posts nothing until after the message has fully arrived:
-  // the payload must wait parked in the sender's slab (no host-side copy
-  // of the bytes) and be pulled pool→user at match time.
+  // The receiver posts nothing until the message has started to arrive:
+  // its bulk cells drain into an unexpected message as they come, and the
+  // late receive copies it out at match time.
   runtime::Universe universe(rdvz_config());
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
     const auto data = pattern(700 * 1000, 5);
     if (ctx.rank() == 0) {
       check_ok(ep.send(1, 2, data));
-      // The receiver FINs only when its late recv matches; wait for the
-      // slot to come home so teardown sees a clean endpoint.
       check_ok(ep.recv(1, 3, {}).status());
-      EXPECT_EQ(ep.debug_queue_sizes().rendezvous_inflight, 0u);
+      EXPECT_EQ(ep.debug_queue_sizes().send_queued, 0u);
     } else {
       // Let the whole message land unexpected before posting the receive.
       ctx.doorbell().wait_until([&] { return ep.iprobe(0, 2).has_value(); });
@@ -158,35 +158,107 @@ TEST(Rendezvous, SynchronousSendCompletesOnMatch) {
   });
 }
 
-TEST(Rendezvous, SlotRecyclingStaysBounded) {
-  // A long stream of large messages must not accumulate arena slots: FINs
-  // recycle slabs through the bounded per-destination cache, and inflight
-  // never exceeds its cap.
+TEST(Rendezvous, BulkRingIsCreatedOncePerPair) {
+  // A long stream of large messages adds one arena object, the pair's bulk
+  // ring, at the first large send and none after: the ring's head is the
+  // only credit, so nothing is allocated or recycled per message.
   runtime::Universe universe(rdvz_config());
   universe.run([&](runtime::RankCtx& ctx) {
     Endpoint ep = Endpoint::create(ctx);
     const auto data = pattern(96 * 1024, 8);
     constexpr int kRounds = 40;
     if (ctx.rank() == 0) {
+      const std::uint64_t before = ctx.arena().used_slots();
       for (int i = 0; i < kRounds; ++i) {
         check_ok(ep.send(1, i, data));
-        const auto sizes = ep.debug_queue_sizes();
-        EXPECT_LE(sizes.rendezvous_inflight, Endpoint::kMaxRendezvousInflight);
-        EXPECT_LE(sizes.rendezvous_cached,
-                  2 * Endpoint::kRendezvousSlotCacheDepth);
+        EXPECT_EQ(ctx.arena().used_slots(), before + 1) << "send " << i;
       }
       EXPECT_EQ(ep.stats().rendezvous_sent,
                 static_cast<std::uint64_t>(kRounds));
-      check_ok(ep.recv(1, 999, {}).status());
-      EXPECT_EQ(ep.debug_queue_sizes().rendezvous_inflight, 0u);
     } else {
       std::vector<std::byte> buf(data.size());
       for (int i = 0; i < kRounds; ++i) {
         check_ok(ep.recv(0, i, buf));
         EXPECT_EQ(buf, data);
       }
-      check_ok(ep.send(0, 999, {}));
     }
+  });
+}
+
+TEST(Rendezvous, SmallAndLargeMessagesKeepSendOrder) {
+  // Eager messages and a large message's envelope ride the small ring, the
+  // large message's body the bulk ring. The receiver reads the small ring
+  // past an envelope only after the body's last cell, so a wildcard
+  // receiver gets one sender's messages in send order.
+  const std::vector<std::size_t> sizes{100,        300_KiB, 200,
+                                       1_MiB + 200_KiB + 5, 0,
+                                       4_KiB + 1};
+  runtime::Universe universe(rdvz_config());
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    if (ctx.rank() == 0) {
+      std::vector<std::vector<std::byte>> data;
+      std::vector<RequestPtr> reqs;
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        data.push_back(pattern(sizes[i], static_cast<int>(i)));
+      }
+      for (const auto& d : data) {
+        reqs.push_back(ep.isend(1, 7, d));
+      }
+      check_ok(ep.wait_all(reqs));
+      EXPECT_EQ(ep.stats().rendezvous_sent, 3u);
+    } else {
+      std::vector<std::byte> buf(1_MiB + 200_KiB + 5);
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const RecvInfo info = check_ok(ep.recv(kAnySource, kAnyTag, buf));
+        ASSERT_EQ(info.bytes, sizes[i]) << "message " << i;
+        EXPECT_EQ(info.source, 0);
+        EXPECT_EQ(info.tag, 7);
+        EXPECT_TRUE(std::equal(buf.begin(), buf.begin() + sizes[i],
+                               pattern(sizes[i], static_cast<int>(i)).begin()))
+            << "message " << i;
+      }
+    }
+  });
+}
+
+TEST(Rendezvous, MessageLargerThanTheBulkRingArrivesUnexpected) {
+  // 2.5 MiB + 37 B at 16 KiB cells is 21 bulk cells, over two and a half
+  // laps of the 8-cell bulk ring. The receive is posted only after iprobe
+  // reports the envelope, so the body drains into an unexpected message
+  // while the sender refills the ring: a sender never waits for a match.
+  runtime::Universe universe(rdvz_config(16_KiB));
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    const auto data = pattern(2_MiB + 512_KiB + 37, 13);
+    if (ctx.rank() == 0) {
+      check_ok(ep.send(1, 5, data));
+      EXPECT_EQ(ep.stats().rendezvous_sent, 1u);
+    } else {
+      ctx.doorbell().wait_until([&] { return ep.iprobe(0, 5).has_value(); });
+      std::vector<std::byte> buf(data.size());
+      const RecvInfo info = check_ok(ep.recv(0, 5, buf));
+      EXPECT_EQ(info.bytes, data.size());
+      EXPECT_EQ(buf, data);
+      EXPECT_EQ(ep.stats().unexpected_messages, 1u);
+    }
+  });
+}
+
+TEST(Rendezvous, HeadToHeadLargeBlockingSendsComplete) {
+  // Both ranks block in a 4 MiB send before either posts its receive.
+  // Each send needs more cells than the bulk ring holds, and its credit
+  // comes only because each side drains the other's unexpected large
+  // message while it waits.
+  runtime::Universe universe(rdvz_config());
+  universe.run([&](runtime::RankCtx& ctx) {
+    Endpoint ep = Endpoint::create(ctx);
+    const int peer = 1 - ctx.rank();
+    const auto mine = pattern(4_MiB, 20 + ctx.rank());
+    check_ok(ep.send(peer, 6, mine));
+    std::vector<std::byte> buf(4_MiB);
+    check_ok(ep.recv(peer, 6, buf));
+    EXPECT_EQ(buf, pattern(4_MiB, 20 + peer));
   });
 }
 
@@ -198,7 +270,7 @@ TEST(Rendezvous, FallsBackToEagerWhenArenaIsFull) {
     Endpoint ep = Endpoint::create(ctx);
     const auto data = pattern(256 * 1024, 9);
     if (ctx.rank() == 0) {
-      // Leave less free arena space than one slab needs.
+      // Leave less free arena space than the bulk ring needs.
       const std::uint64_t free = ctx.arena().free_bytes();
       ASSERT_GT(free, 300 * 1024u);
       auto hog = check_ok(
@@ -263,11 +335,11 @@ class RendezvousSweeps : public ::testing::Test {
 };
 
 TEST_F(RendezvousSweeps, OnePerSegmentPerSide) {
-  // 1 MiB at the default 16 KiB cells: eight 128 KiB segments of eight
-  // 16 KiB bulk pieces. A segment's pieces and its RTS descriptor share
-  // one flush sweep on the sender (the RTS publish fences them together),
-  // and its pieces one invalidate sweep on the receiver, so each side
-  // pays eight sweep setups for the payload, not 64.
+  // 1 MiB at 16 KiB cells: eight 128 KiB bulk cells of eight 16 KiB bulk
+  // pieces. A cell's pieces share one flush sweep on the sender, and the
+  // envelope rides the first cell's, so the sender pays eight sweep
+  // setups, not 64. The receiver reads the eight cells in one reap batch,
+  // whose reads share one invalidate sweep.
   constexpr std::uint64_t kSegments = 8;
   const auto data = pattern(1_MiB, 11);
   std::atomic<std::uint64_t> sender_sweeps{0};
@@ -278,7 +350,7 @@ TEST_F(RendezvousSweeps, OnePerSegmentPerSide) {
     ctx.barrier();
     if (ctx.rank() == 0) {
       // The receiver sits at the barrier: every sweep here is the
-      // sender's. The send returns once all segments are announced.
+      // sender's. The send returns once all eight cells are published.
       const std::uint64_t before = sweeps();
       check_ok(ep.send(1, 0, data));
       sender_sweeps = sweeps() - before;
@@ -294,59 +366,9 @@ TEST_F(RendezvousSweeps, OnePerSegmentPerSide) {
     }
     ctx.barrier();
   });
-  // Each RTS descriptor is written in the same pass as its segment and
-  // its publish fences both, so it rides the segment's sweep.
   EXPECT_EQ(sender_sweeps.load(), kSegments);
-  // The FIN cell pays one; the RTS descriptors arrive in the fused header
-  // read and need no bulk read.
-  EXPECT_EQ(receiver_sweeps.load(), kSegments + 1);
-}
-
-TEST_F(RendezvousSweeps, LaterAttemptRtsPaysItsOwnSweep) {
-  // A 2-cell ring cannot hold the eight RTS descriptors of a 1 MiB
-  // message. The isend writes segments 0-2, announces 0 and 1, and leaves
-  // segment 2 for a later attempt once the receiver drains; so may go any
-  // later segment that finds the ring full. A descriptor announced on a
-  // later attempt pays its own sweep (a fence may have come between it and
-  // its segment), the rest ride their segment's.
-  constexpr std::uint64_t kSegments = 8;
-  const auto data = pattern(1_MiB, 12);
-  std::atomic<std::uint64_t> sender_sweeps{0};
-  std::atomic<std::uint64_t> late_rts{0};
-  std::atomic<bool> announced{false};
-  runtime::Universe universe(rdvz_config(16_KiB, /*ring_cells=*/2));
-  universe.run([&](runtime::RankCtx& ctx) {
-    Endpoint ep = Endpoint::create(ctx);
-    ctx.barrier();
-    if (ctx.rank() == 0) {
-      const std::uint64_t before = sweeps();
-      const RequestPtr req = ep.isend(1, 0, data);
-      ctx.barrier();  // the receiver starts draining a full ring
-      check_ok(ep.wait(req));
-      sender_sweeps = sweeps() - before;
-      late_rts = counter("p2p.rdvz_rts_late");
-      EXPECT_EQ(counter("p2p.rdvz_rts"), kSegments);
-      announced = true;
-    } else {
-      ctx.barrier();
-      // No receive is posted, so the descriptors park as an unexpected
-      // message and its pulls, the receiver's sweeps, wait for the recv
-      // below: every sweep counted until `announced` is the sender's.
-      while (!announced) {
-        ep.progress();
-        std::this_thread::yield();
-      }
-    }
-    ctx.barrier();
-    if (ctx.rank() == 1) {
-      std::vector<std::byte> buf(data.size());
-      check_ok(ep.recv(0, 0, buf));
-      EXPECT_EQ(buf, data);
-    }
-    ctx.barrier();
-  });
-  EXPECT_GE(late_rts.load(), 1u);
-  EXPECT_EQ(sender_sweeps.load(), kSegments + late_rts.load());
+  // The envelope arrives in the fused header read and needs no bulk read.
+  EXPECT_EQ(receiver_sweeps.load(), 1u);
 }
 
 }  // namespace
